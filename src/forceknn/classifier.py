@@ -3,7 +3,13 @@
 A query is answered with the majority label of its k nearest reference
 samples only when the share of agreeing neighbours reaches a configurable
 minimum-agreement percentage; below that the classifier abstains and the
-caller is expected to fall back to an authoritative check.
+caller is expected to fall back to an authoritative check. The vote is one
+function, shared by ``classify``, ``decide`` and the static grid sweep.
+
+Cosine distance is undefined for a zero-norm vector. A zero-norm query
+(a dropped-out trace) abstains, and a zero-norm reference sits at cosine
+distance 1.0 (similarity 0) from every query; ``distance`` itself still
+rejects a zero-norm argument.
 """
 
 from __future__ import annotations
@@ -108,11 +114,6 @@ def minkowski(p: float = 3.0) -> Metric:
     return Metric("minkowski", p)
 
 
-def _check_l_value(l_value: float) -> None:
-    if not 50.0 <= l_value <= 100.0:
-        raise ValueError(f"l_value must lie in [50, 100], got {l_value!r}")
-
-
 def min_agreeing_count(k: int, l_value: float) -> int:
     """Smallest neighbour count N_c satisfying N_c * 100 >= l_value * k.
 
@@ -122,16 +123,26 @@ def min_agreeing_count(k: int, l_value: float) -> int:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    _check_l_value(l_value)
+    if not 50.0 <= l_value <= 100.0:
+        raise ValueError(f"l_value must lie in [50, 100], got {l_value!r}")
     return math.ceil(Fraction(l_value) * k / 100)
 
 
-def _batch_distances(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, metric: Metric) -> np.ndarray:
-    """Distances from every row of ``matrix`` to ``query``."""
+def _reference_norms(matrix: np.ndarray) -> np.ndarray:
+    """Row norms for cosine; a zero row gets norm 1, so it sits at similarity 0."""
+    norms = np.linalg.norm(matrix, axis=1)
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
+def _batch_distances(
+    matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, metric: Metric
+) -> np.ndarray | None:
+    """Distances from every row of ``matrix`` to ``query``; None for a zero cosine query."""
     if metric.kind == "cosine":
         query_norm = float(np.linalg.norm(query))
-        if query_norm == 0.0 or np.any(norms == 0.0):
-            raise ValueError("cosine distance is undefined for a zero-norm vector")
+        if query_norm == 0.0:
+            return None
         sims = (matrix @ query) / (norms * query_norm)
         return 1.0 - np.clip(sims, -1.0, 1.0)
     diff = matrix - query
@@ -146,14 +157,32 @@ def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> flo
     """Distance between two feature vectors under the given metric.
 
     Cosine distance is 1 - cos(a, b) with the similarity clipped to [-1, 1],
-    so it is exactly 0 for positive scalar multiples and never negative.
+    so it is exactly 0 for positive scalar multiples and never negative. It
+    raises ValueError when either vector has zero norm.
     """
     va, vb = a.values, b.values
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.size} vs {vb.size}")
+    if metric.kind == "cosine" and not (np.linalg.norm(va) and np.linalg.norm(vb)):
+        raise ValueError("cosine distance is undefined for a zero-norm vector")
     matrix = va[np.newaxis, :]
-    norms = np.linalg.norm(matrix, axis=1)
-    return float(_batch_distances(matrix, norms, vb, metric)[0])
+    return float(_batch_distances(matrix, np.linalg.norm(matrix, axis=1), vb, metric)[0])
+
+
+def _vote(n_pos, k: int, threshold: int):
+    """Positive and negative masks of the minimum-agreement vote.
+
+    ``n_pos`` counts the positive labels among k neighbours, as an int or an
+    int array. A side wins when it holds a strict majority of at least
+    ``threshold`` votes; neither mask is set for an abstention.
+    """
+    n_neg = k - n_pos
+    return (n_pos > n_neg) & (n_pos >= threshold), (n_neg > n_pos) & (n_neg >= threshold)
+
+
+def _decision(n_pos: int, k: int, threshold: int) -> Decision:
+    positive, negative = _vote(n_pos, k, threshold)
+    return Decision.POSITIVE if positive else Decision.NEGATIVE if negative else Decision.UNCERTAIN
 
 
 class KnnModel:
@@ -172,9 +201,7 @@ class KnnModel:
         l_value: float = 100.0,
     ) -> None:
         entries = tuple(dataset)
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        _check_l_value(l_value)
+        self._threshold = min_agreeing_count(k, l_value)
         dims = {len(feature) for feature, _ in entries}
         if len(dims) > 1:
             raise ValueError(f"feature vectors of mixed dimension: {sorted(dims)}")
@@ -182,16 +209,10 @@ class KnnModel:
         self.metric = metric
         self.l_value = float(l_value)
         self._entries = entries
-        if entries:
-            self._matrix = np.stack([feature.values for feature, _ in entries])
-            self._norms = np.linalg.norm(self._matrix, axis=1)
-            self._labels = tuple(label for _, label in entries)
-            self._dim = int(self._matrix.shape[1])
-        else:
-            self._matrix = np.empty((0, 0))
-            self._norms = np.empty(0)
-            self._labels = ()
-            self._dim = None
+        self._dim = dims.pop() if dims else None
+        self._matrix = np.stack([f.values for f, _ in entries]) if entries else np.empty((0, 0))
+        self._norms = _reference_norms(self._matrix)
+        self._is_pos = np.array([label is Label.POSITIVE for _, label in entries], dtype=bool)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -207,8 +228,8 @@ class KnnModel:
         )
 
 
-def nearest_labels(model: KnnModel, query: FeatureVector) -> list[Label]:
-    """Labels of the k dataset entries closest to ``query``.
+def _nearest(model: KnnModel, query: FeatureVector) -> np.ndarray | None:
+    """Indices of the k entries closest to ``query``, or None if none is defined.
 
     Ordered by (distance, insertion index) ascending; the stable sort makes
     exact-distance ties deterministic.
@@ -219,8 +240,21 @@ def nearest_labels(model: KnnModel, query: FeatureVector) -> list[Label]:
     if q.size != model._dim:
         raise ValueError(f"dimension mismatch: query {q.size}, dataset {model._dim}")
     dists = _batch_distances(model._matrix, model._norms, q, model.metric)
-    order = np.argsort(dists, kind="stable")[: model.k]
-    return [model._labels[i] for i in order]
+    if dists is None:
+        return None
+    return np.argsort(dists, kind="stable")[: model.k]
+
+
+def nearest_labels(model: KnnModel, query: FeatureVector) -> list[Label]:
+    """Labels of the k dataset entries closest to ``query``.
+
+    Ordered by (distance, insertion index) ascending. Raises ValueError for a
+    zero-norm query under cosine, which has no neighbours.
+    """
+    order = _nearest(model, query)
+    if order is None:
+        raise ValueError("cosine distance is undefined for a zero-norm query")
+    return [model._entries[i][1] for i in order]
 
 
 def decide(neighbor_labels: Sequence[Label], k: int, l_value: float) -> Decision:
@@ -237,16 +271,12 @@ def decide(neighbor_labels: Sequence[Label], k: int, l_value: float) -> Decision
     if len(labels) != k:
         raise ValueError(f"expected exactly k={k} neighbor labels, got {len(labels)}")
     n_pos = sum(1 for label in labels if label is Label.POSITIVE)
-    n_neg = len(labels) - n_pos
-    threshold = min_agreeing_count(k, l_value)
-    if n_pos == n_neg:
-        return Decision.UNCERTAIN
-    majority = Label.POSITIVE if n_pos > n_neg else Label.NEGATIVE
-    if max(n_pos, n_neg) >= threshold:
-        return Decision.from_label(majority)
-    return Decision.UNCERTAIN
+    return _decision(n_pos, k, min_agreeing_count(k, l_value))
 
 
 def classify(model: KnnModel, query: FeatureVector) -> Decision:
-    """Nearest-neighbour vote with abstention: the full query pipeline."""
-    return decide(nearest_labels(model, query), model.k, model.l_value)
+    """Nearest-neighbour vote with abstention; a zero-norm cosine query abstains."""
+    order = _nearest(model, query)
+    if order is None:
+        return Decision.UNCERTAIN
+    return _decision(int(model._is_pos[order].sum()), model.k, model._threshold)

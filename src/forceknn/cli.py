@@ -212,6 +212,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _preprocess_config(opts: dict) -> PreprocessConfig:
+    return PreprocessConfig(
+        sg_window=opts["sg_window"],
+        sg_order=opts["sg_order"],
+        ds_window=opts["ds_window"],
+        ds_stride=opts["ds_stride"],
+    )
+
+
 def _loop_config(opts: dict, k: int, metric: Metric, l_value: float) -> LoopConfig:
     return LoopConfig(
         k=k,
@@ -219,12 +228,7 @@ def _loop_config(opts: dict, k: int, metric: Metric, l_value: float) -> LoopConf
         l_value=l_value,
         retrain_interval=opts["retrain_interval"],
         seed_size=opts["seed_size"],
-        preprocess=PreprocessConfig(
-            sg_window=opts["sg_window"],
-            sg_order=opts["sg_order"],
-            ds_window=opts["ds_window"],
-            ds_stride=opts["ds_stride"],
-        ),
+        preprocess=_preprocess_config(opts),
         rng_seed=opts["rng_seed"],
         n_runs=opts["runs"],
     )
@@ -248,6 +252,9 @@ def _cmd_online(args: argparse.Namespace) -> int:
     opts = _resolve(args, _LOOP_SPEC)
     k = _single(opts["k"], "k value")
     metric = _single(opts["metric"], "metric")
+    records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
+    if len(set(records_names)) != len(records_names):
+        raise _UsageError(f"l-values {opts['l_value']} would share a records file name")
     trials = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,12 +262,12 @@ def _cmd_online(args: argparse.Namespace) -> int:
     features: dict[str, FeatureVector] = {}
     summary_rows = []
     window_series = []
-    for l_value in opts["l_value"]:
+    for l_value, records_name in zip(opts["l_value"], records_names):
         cfg = _loop_config(opts, k, metric, l_value)
         reports = run_replicated(trials, cfg, feature_cache=features)
         summary_rows.append(summarize_runs(reports))
         window_series.append((l_value, aggregate_window_series(reports, tm)))
-        records_path = out_dir / f"records-l{l_value:g}.jsonl"
+        records_path = out_dir / records_name
         write_records_jsonl(records_path, reports)
         print(f"wrote {records_path}")
     echo = _echo_pairs(opts, args.dataset, {
@@ -289,16 +296,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if opts["train_fraction"]
         else defaults.train_fractions,
     )
-    preprocess_cfg = PreprocessConfig(
-        sg_window=opts["sg_window"],
-        sg_order=opts["sg_order"],
-        ds_window=opts["ds_window"],
-        ds_stride=opts["ds_stride"],
-    )
     rows: list[GridRow]
     if args.mode == "static":
         seeds = [opts["rng_seed"] + i for i in range(opts["static_seeds"])]
-        rows = static_grid(trials, grid, preprocess_cfg, seeds)
+        rows = static_grid(trials, grid, _preprocess_config(opts), seeds)
     else:
         # k=1 satisfies any seed_size; online_grid swaps in each cell's k.
         base_cfg = _loop_config(opts, k=1, metric=grid.metrics[0], l_value=grid.l_values[0])

@@ -38,8 +38,10 @@ def write_dataset(
 ) -> None:
     """Write trials to ``path``; refuses to replace an existing file unless asked.
 
-    All trials must share one trace length and sample rate. For an empty
-    dataset the header metadata comes from ``n_samples``/``sample_rate``.
+    All trials must share one trace length and sample rate, and no id may
+    hold a comma or a line break, which ``read_dataset`` would split on. For
+    an empty dataset the header metadata comes from
+    ``n_samples``/``sample_rate``.
     """
     path = Path(path)
     if path.exists() and not overwrite:
@@ -51,6 +53,8 @@ def write_dataset(
         for trial in trials:
             if len(trial.trace) != n_samples or trial.trace.sample_rate != sample_rate:
                 raise ValueError("all trials in a dataset file must share n_samples and sample_rate")
+            if any(char in trial.id for char in ",\n\r"):
+                raise ValueError(f"trial id {trial.id!r} holds a comma or a line break")
     else:
         n_samples = 0 if n_samples is None else int(n_samples)
         sample_rate = 500.0 if sample_rate is None else float(sample_rate)

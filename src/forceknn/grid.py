@@ -24,6 +24,8 @@ from .classifier import (
     Label,
     Metric,
     _batch_distances,
+    _reference_norms,
+    _vote,
     min_agreeing_count,
     minkowski,
 )
@@ -55,10 +57,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.k_values and self.metrics and self.l_values and self.train_fractions):
             raise ValueError("every grid axis must be non-empty")
-        if any(k < 1 for k in self.k_values):
-            raise ValueError("k values must be positive")
-        if any(not 50.0 <= l <= 100.0 for l in self.l_values):
-            raise ValueError("l values must lie in [50, 100]")
+        for k in self.k_values:
+            for l_value in self.l_values:
+                min_agreeing_count(k, l_value)  # validates k and l_value
         if any(not 0.0 < f <= 1.0 for f in self.train_fractions):
             raise ValueError("train fractions must lie in (0, 1]")
 
@@ -101,7 +102,10 @@ class _CellStats:
         self.cells.append((tp, fp, tn, fn))
 
     def to_row(self, k: int, metric: Metric, l_value: float, fraction: float) -> GridRow:
+        """The cell's mean statistics, or an infeasible row when it never ran."""
         n = len(self.cells)
+        if n == 0:
+            return GridRow(k, str(metric), l_value, fraction, status="infeasible")
         mean_cells = [sum(cell[i] for cell in self.cells) / n for i in range(4)]
         return GridRow(
             k=k,
@@ -137,41 +141,39 @@ def static_grid(
     if len(trials) < 2:
         raise ValueError("dataset too small to split")
     features = np.stack([preprocess(t.trace, preprocess_cfg).values for t in trials])
-    norms = np.linalg.norm(features, axis=1)
+    norms = _reference_norms(features)
     is_pos = np.array([t.truth is Label.POSITIVE for t in trials])
     n = len(trials)
     test_size = max(1, round(n * _TEST_SHARE))
     pool_size = n - test_size
 
     stats: dict[tuple[int, int, float, float], _CellStats] = {}
-    infeasible: set[tuple[int, int, float, float]] = set()
     for seed in seeds:
         order = np.random.default_rng(seed).permutation(n)
         pool_idx, test_idx = order[:pool_size], order[pool_size:]
         truth_pos = is_pos[test_idx]
         for metric_i, metric in enumerate(grid.metrics):
-            dists = np.stack(
-                [
-                    _batch_distances(features[pool_idx], norms[pool_idx], features[t], metric)
-                    for t in test_idx
-                ]
-            )
+            per_query = [
+                _batch_distances(features[pool_idx], norms[pool_idx], features[t], metric)
+                for t in test_idx
+            ]
+            # A query without defined distances (zero norm under cosine) abstains.
+            answered = np.array([d is not None for d in per_query])
+            dists = np.stack([np.zeros(pool_size) if d is None else d for d in per_query])
             for fraction in grid.train_fractions:
                 train_size = round(fraction * pool_size)
                 ranked = np.argsort(dists[:, :train_size], axis=1, kind="stable")
                 for k in grid.k_values:
                     if train_size < k:
                         for l_value in grid.l_values:
-                            infeasible.add((k, metric_i, l_value, fraction))
+                            stats.setdefault((k, metric_i, l_value, fraction), _CellStats())
                         continue
                     neighbor_pos = is_pos[pool_idx[:train_size]][ranked[:, :k]]
                     n_pos = neighbor_pos.sum(axis=1)
-                    n_neg = k - n_pos
                     for l_value in grid.l_values:
-                        threshold = min_agreeing_count(k, l_value)
-                        commit = np.maximum(n_pos, n_neg) >= threshold
-                        decided_pos = (n_pos > n_neg) & commit
-                        decided_neg = (n_neg > n_pos) & commit
+                        decided_pos, decided_neg = _vote(n_pos, k, min_agreeing_count(k, l_value))
+                        decided_pos &= answered
+                        decided_neg &= answered
                         uncertain = int((~(decided_pos | decided_neg)).sum())
                         tp = int((decided_pos & truth_pos).sum())
                         fp = int((decided_pos & ~truth_pos).sum())
@@ -186,16 +188,6 @@ def static_grid(
         cell.to_row(k, grid.metrics[metric_i], l_value, fraction)
         for (k, metric_i, l_value, fraction), cell in stats.items()
     ]
-    rows.extend(
-        GridRow(
-            k=k,
-            metric=str(grid.metrics[metric_i]),
-            l_value=l_value,
-            train_fraction=fraction,
-            status="infeasible",
-        )
-        for (k, metric_i, l_value, fraction) in infeasible
-    )
     return sorted(rows, key=_sort_key)
 
 
@@ -221,10 +213,7 @@ def online_grid(
                 try:
                     cfg = dataclasses.replace(base_cfg, k=k, metric=metric, l_value=l_value)
                 except ValueError:
-                    rows.append(
-                        GridRow(k=k, metric=str(metric), l_value=l_value,
-                                train_fraction=1.0, status="infeasible")
-                    )
+                    rows.append(_CellStats().to_row(k, metric, l_value, 1.0))
                     continue
                 reports = run_replicated(trials, cfg, base_seed, feature_cache=features)
                 summary = summarize_runs(reports)

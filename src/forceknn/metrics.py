@@ -124,9 +124,31 @@ class WindowCost(NamedTuple):
     mean_cost: float
 
 
-def _window_sums(flags: np.ndarray, window: int) -> np.ndarray:
-    cum = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
+def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
+    """Sums over each trailing window of ``values`` (none if shorter), in its dtype."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    cum = np.concatenate(([0], np.cumsum(values)))
     return cum[window:] - cum[:-window]
+
+
+def _window_counts(
+    records: Sequence[TrialRecord], window: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classifier true and false positives, and verified trials, per trailing window."""
+    classified, pred_pos, truth_pos = np.array(
+        [(r.phase is Phase.CLASSIFIED, r.predicted is Label.POSITIVE, r.truth is Label.POSITIVE)
+         for r in records],
+        dtype=np.int64,
+    ).reshape(-1, 3).T
+    tp = _window_sums(classified * pred_pos * truth_pos, window)
+    fp = _window_sums(classified * pred_pos * (1 - truth_pos), window)
+    return tp, fp, _window_sums(1 - classified, window)
+
+
+def _costs(records: Sequence[TrialRecord], tm: TimeModel) -> np.ndarray:
+    verified = np.fromiter((r.verified for r in records), dtype=bool, count=len(records))
+    return np.where(verified, tm.iteration_cost, tm.iteration_cost - tm.verification_cost)
 
 
 def sliding_window_series(
@@ -137,31 +159,14 @@ def sliding_window_series(
     Point ``index`` covers ``records[index - window + 1 .. index]``; streams
     shorter than the window yield an empty series.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    n = len(records)
-    if n < window:
-        return []
-    classified = np.fromiter(
-        (r.phase is Phase.CLASSIFIED for r in records), dtype=np.int64, count=n
-    )
-    pred_pos = np.fromiter(
-        (r.predicted is Label.POSITIVE for r in records), dtype=np.int64, count=n
-    )
-    truth_pos = np.fromiter(
-        (r.truth is Label.POSITIVE for r in records), dtype=np.int64, count=n
-    )
-    verified = np.fromiter((r.verified for r in records), dtype=np.int64, count=n)
-    tp = _window_sums(classified * pred_pos * truth_pos, window)
-    fp = _window_sums(classified * pred_pos * (1 - truth_pos), window)
-    ver = _window_sums(verified, window)
+    tp, fp, ver = _window_counts(records, window)
     return [
         WindowPoint(
             index=window - 1 + j,
             precision=_ratio(int(tp[j]), int(tp[j] + fp[j])),
             uncertain_fraction=int(ver[j]) / window,
         )
-        for j in range(n - window + 1)
+        for j in range(len(tp))
     ]
 
 
@@ -175,18 +180,10 @@ def cycle_time(
     A verified trial costs the full iteration; skipping verification saves
     ``tm.verification_cost``.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    n = len(records)
-    verified = np.fromiter((r.verified for r in records), dtype=float, count=n)
-    costs = np.where(verified > 0, tm.iteration_cost, tm.iteration_cost - tm.verification_cost)
-    total = float(costs.sum())
-    if n < window:
-        return total, []
-    cum = np.concatenate(([0.0], np.cumsum(costs)))
-    sums = cum[window:] - cum[:-window]
-    series = [WindowCost(window - 1 + j, float(sums[j]) / window) for j in range(n - window + 1)]
-    return total, series
+    costs = _costs(records, tm)
+    sums = _window_sums(costs, window)
+    series = [WindowCost(window - 1 + j, float(s) / window) for j, s in enumerate(sums)]
+    return float(costs.sum()), series
 
 
 def cycle_time_total(n_records: float, n_verified: float, tm: TimeModel = TimeModel()) -> float:
@@ -215,8 +212,8 @@ class SummaryRow:
     mean_dataset_size: float
     mean_verification_count: float
     mean_precision: float | None
-    mean_recall: float | None
     precision_undefined_runs: int
+    mean_recall: float | None
     recall_undefined_runs: int
     mean_tp: float
     mean_fp: float

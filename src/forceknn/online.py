@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify
+from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
 from .signal import FeatureVector, ForceTrace, PreprocessConfig, preprocess
 
 __all__ = [
@@ -52,14 +52,28 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one processed trial."""
+    """Outcome of one processed trial.
+
+    ``decision`` and ``verified`` are derived from ``phase``: a classified
+    trial carries the classifier's answer (``predicted``) and skipped
+    verification; seed and fallback trials carry an uncertain decision and
+    were verified by the oracle.
+    """
 
     trial_id: str
-    decision: Decision
-    verified: bool
     predicted: Label
     truth: Label
     phase: Phase
+
+    @property
+    def verified(self) -> bool:
+        return self.phase is not Phase.CLASSIFIED
+
+    @property
+    def decision(self) -> Decision:
+        if self.verified:
+            return Decision.UNCERTAIN
+        return Decision.from_label(self.predicted)
 
 
 @dataclass(frozen=True)
@@ -84,10 +98,7 @@ class LoopConfig:
     n_runs: int = 30
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if not 50.0 <= self.l_value <= 100.0:
-            raise ValueError("l_value must lie in [50, 100]")
+        min_agreeing_count(self.k, self.l_value)  # validates k and l_value
         if self.retrain_interval < 1:
             raise ValueError("retrain_interval must be >= 1")
         if self.seed_size < self.k:
@@ -187,9 +198,7 @@ def run_online(
         dataset.append((feature_of(trial), label))
         if label is Label.POSITIVE:
             n_positive += 1
-        records.append(
-            TrialRecord(trial.id, Decision.UNCERTAIN, True, label, trial.truth, Phase.SEED)
-        )
+        records.append(TrialRecord(trial.id, label, trial.truth, Phase.SEED))
     if len(dataset) < cfg.seed_size or n_positive < positive_quota:
         raise ValueError("stream exhausted before the seed phase completed")
 
@@ -206,14 +215,10 @@ def run_online(
         if decision is Decision.UNCERTAIN:
             label = oracle.label(trial)
             dataset.append((feature, label))
-            records.append(
-                TrialRecord(trial.id, decision, True, label, trial.truth, Phase.FALLBACK)
-            )
+            records.append(TrialRecord(trial.id, label, trial.truth, Phase.FALLBACK))
         else:
             records.append(
-                TrialRecord(
-                    trial.id, decision, False, decision.to_label(), trial.truth, Phase.CLASSIFIED
-                )
+                TrialRecord(trial.id, decision.to_label(), trial.truth, Phase.CLASSIFIED)
             )
         processed += 1
         if processed % cfg.retrain_interval == 0 and len(dataset) > snapshot_size:

@@ -8,13 +8,17 @@ files that state how to reproduce them.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .metrics import SummaryRow, TimeModel, cycle_time, sliding_window_series
+import numpy as np
+
+from .grid import GridRow
+from .metrics import SummaryRow, TimeModel, _costs, _window_counts, _window_sums
 from .online import RunReport
 
 __all__ = [
@@ -26,50 +30,6 @@ __all__ = [
     "write_windows_csv",
     "write_grid_csv",
 ]
-
-SUMMARY_COLUMNS = [
-    "l_value",
-    "n_runs",
-    "n_records",
-    "mean_dataset_size",
-    "mean_verification_count",
-    "mean_precision",
-    "precision_undefined_runs",
-    "mean_recall",
-    "recall_undefined_runs",
-    "mean_tp",
-    "mean_fp",
-    "mean_tn",
-    "mean_fn",
-    "mean_uncertain",
-    "pooled_precision",
-    "pooled_recall",
-]
-
-WINDOW_COLUMNS = [
-    "l_value",
-    "index",
-    "mean_precision",
-    "precision_defined_runs",
-    "mean_uncertain_fraction",
-    "mean_cycle_cost",
-]
-
-GRID_COLUMNS = [
-    "k",
-    "metric",
-    "l_value",
-    "train_fraction",
-    "status",
-    "precision",
-    "recall",
-    "uncertain_pct",
-    "tp",
-    "fp",
-    "tn",
-    "fn",
-]
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -102,39 +62,55 @@ def aggregate_window_series(
     """Average the per-run sliding-window series index by index.
 
     Window precision is undefined when a window holds no classified trials;
-    such runs are excluded from that index's mean and counted.
+    such runs are excluded from that index's mean and counted. Runs are
+    added one after another in run order, so every mean is the same float
+    as a plain sum over runs.
     """
-    all_points = [sliding_window_series(report.records, window) for report in reports]
-    all_costs = [cycle_time(report.records, tm, window)[1] for report in reports]
-    lengths = {len(points) for points in all_points}
+    lengths = {max(len(report.records) - window + 1, 0) for report in reports}
     if len(lengths) > 1:
         raise ValueError("runs produced window series of different lengths")
-    n_runs = len(reports)
-    aggregates = []
-    for j in range(lengths.pop() if lengths else 0):
-        precisions = [points[j].precision for points in all_points]
-        defined = [p for p in precisions if p is not None]
-        aggregates.append(
-            WindowAggregate(
-                index=all_points[0][j].index,
-                mean_precision=(sum(defined) / len(defined)) if defined else None,
-                precision_defined_runs=len(defined),
-                mean_uncertain_fraction=sum(points[j].uncertain_fraction for points in all_points)
-                / n_runs,
-                mean_cycle_cost=sum(costs[j].mean_cost for costs in all_costs) / n_runs,
-            )
+    n_windows = lengths.pop() if lengths else 0
+    # Rows: precision sum over defined runs, defined runs, uncertain fraction, cycle cost.
+    sums = np.zeros((4, n_windows))
+    for report in reports:
+        tp, fp, ver = _window_counts(report.records, window)
+        defined = tp + fp > 0
+        sums += (
+            np.where(defined, tp / np.maximum(tp + fp, 1), 0.0),
+            defined,
+            ver / window,
+            _window_sums(_costs(report.records, tm), window) / window,
         )
-    return aggregates
+    precision, runs, uncertain, cost = sums
+    n_runs = len(reports)
+    return [
+        WindowAggregate(window - 1 + j, p / r if r else None, int(r), u / n_runs, c / n_runs)
+        for j, (p, r, u, c) in enumerate(
+            zip(precision.tolist(), runs.tolist(), uncertain.tolist(), cost.tolist())
+        )
+    ]
 
 
-def _write_csv(path: Path, echo: Mapping[str, object], columns: list[str], rows) -> None:
+def _write_csv(
+    path: Path,
+    echo: Mapping[str, object],
+    row_type: type,
+    rows: Iterable[tuple[tuple, object]],
+    lead_columns: Sequence[str] = (),
+) -> None:
+    """Write dataclass rows under a config echo, one column per field in order.
+
+    ``rows`` yields ``(lead_values, row)`` pairs; ``lead_values`` fill
+    ``lead_columns``, which come before the fields of ``row_type``.
+    """
+    names = [field.name for field in dataclasses.fields(row_type)]
     buf = io.StringIO()
     for line in config_echo(echo):
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(value) for value in row])
+    writer.writerow([*lead_columns, *names])
+    for lead, row in rows:
+        writer.writerow([_fmt(value) for value in (*lead, *(getattr(row, n) for n in names))])
     path.write_text(buf.getvalue(), encoding="utf-8", newline="\n")
 
 
@@ -160,32 +136,7 @@ def write_records_jsonl(path: str | Path, reports: Sequence[RunReport]) -> None:
 def write_summary_csv(
     path: str | Path, rows: Sequence[SummaryRow], echo: Mapping[str, object]
 ) -> None:
-    _write_csv(
-        Path(path),
-        echo,
-        SUMMARY_COLUMNS,
-        (
-            [
-                row.l_value,
-                row.n_runs,
-                row.n_records,
-                row.mean_dataset_size,
-                row.mean_verification_count,
-                row.mean_precision,
-                row.precision_undefined_runs,
-                row.mean_recall,
-                row.recall_undefined_runs,
-                row.mean_tp,
-                row.mean_fp,
-                row.mean_tn,
-                row.mean_fn,
-                row.mean_uncertain,
-                row.pooled_precision,
-                row.pooled_recall,
-            ]
-            for row in rows
-        ),
-    )
+    _write_csv(Path(path), echo, SummaryRow, (((), row) for row in rows))
 
 
 def write_windows_csv(
@@ -196,42 +147,11 @@ def write_windows_csv(
     _write_csv(
         Path(path),
         echo,
-        WINDOW_COLUMNS,
-        (
-            [
-                l_value,
-                point.index,
-                point.mean_precision,
-                point.precision_defined_runs,
-                point.mean_uncertain_fraction,
-                point.mean_cycle_cost,
-            ]
-            for l_value, series in series_by_l
-            for point in series
-        ),
+        WindowAggregate,
+        (((l_value,), point) for l_value, series in series_by_l for point in series),
+        lead_columns=("l_value",),
     )
 
 
-def write_grid_csv(path: str | Path, rows, echo: Mapping[str, object]) -> None:
-    _write_csv(
-        Path(path),
-        echo,
-        GRID_COLUMNS,
-        (
-            [
-                row.k,
-                row.metric,
-                row.l_value,
-                row.train_fraction,
-                row.status,
-                row.precision,
-                row.recall,
-                row.uncertain_pct,
-                row.tp,
-                row.fp,
-                row.tn,
-                row.fn,
-            ]
-            for row in rows
-        ),
-    )
+def write_grid_csv(path: str | Path, rows: Sequence[GridRow], echo: Mapping[str, object]) -> None:
+    _write_csv(Path(path), echo, GridRow, (((), row) for row in rows))

@@ -196,8 +196,6 @@ def test_criterion_6_cycle_time_arithmetic():
         records = [
             fk.TrialRecord(
                 f"t{i}",
-                Decision.UNCERTAIN if flag else Decision.POSITIVE,
-                bool(flag),
                 Label.POSITIVE,
                 Label.POSITIVE,
                 Phase.FALLBACK if flag else Phase.CLASSIFIED,

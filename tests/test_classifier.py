@@ -355,6 +355,30 @@ class TestClassify:
             for scale in (1e-3, 0.5, 7.0, 1e4):
                 assert classify(model, FeatureVector(scale * query.values)) is base
 
+    def test_zero_norm_query_abstains_under_cosine(self):
+        rng = np.random.default_rng(41)
+        dataset = [(FeatureVector(rng.normal(size=5)), Label.POSITIVE) for _ in range(7)]
+        model = KnnModel(dataset, k=3, metric=COSINE, l_value=50.0)
+        zero = _fv(0.0, 0.0, 0.0, 0.0, 0.0)
+        assert classify(model, zero) is Decision.UNCERTAIN
+        with pytest.raises(ValueError, match="zero-norm"):
+            nearest_labels(model, zero)
+
+    def test_zero_norm_reference_sits_at_cosine_distance_one(self):
+        query = _fv(1.0, 2.0)
+        dataset = [
+            (_fv(-1.0, -2.0), Label.NEGATIVE),  # distance 2
+            (_fv(2.0, -1.0), Label.NEGATIVE),  # orthogonal: distance 1, after the zero row
+            (_fv(0.0, 0.0), Label.POSITIVE),  # distance 1
+        ]
+        model = KnnModel(dataset, k=1, metric=COSINE, l_value=100.0)
+        assert nearest_labels(model, query) == [Label.NEGATIVE]
+        model = KnnModel([dataset[0], dataset[2], dataset[1]], k=2, metric=COSINE)
+        assert nearest_labels(model, query) == [Label.POSITIVE, Label.NEGATIVE]
+        assert classify(KnnModel(dataset[::2], k=1), query) is Decision.POSITIVE
+        near = (FeatureVector(query.values + 0.1), Label.NEGATIVE)
+        assert classify(KnnModel([*dataset, near], k=1), query) is Decision.NEGATIVE
+
     def test_determinism(self):
         rng = np.random.default_rng(88)
         dataset = [

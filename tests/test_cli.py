@@ -101,6 +101,14 @@ class TestOnline:
         # 36 trials per run, window 100 -> no full window, hence no rows
         assert rows == []
 
+    def test_colliding_records_names_rejected_before_writing(self, tmp_path, dataset, capsys):
+        out = tmp_path / "out"
+        code = main(["online", "--dataset", str(dataset), "--out", str(out), *ONLINE_FLAGS,
+                     "--l-value", "50,70,50.000001"])
+        assert code == EXIT_USAGE
+        assert "records file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, dataset):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["online", "--dataset", str(dataset), *ONLINE_FLAGS]
@@ -108,6 +116,32 @@ class TestOnline:
         assert main(args + ["--out", str(out_b)]) == EXIT_OK
         for name in ("summary.csv", "windows.csv", "records-l100.jsonl", "records-l50.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def zero_trial_dataset(dataset):
+    """The dataset with its first trial's samples replaced by zeros (a dropped-out trace)."""
+    lines = dataset.read_text(encoding="utf-8").splitlines()
+    n_samples = int(lines[0].split(",")[2])
+    trial_id, label = lines[1].split(",")[:2]
+    lines[1] = ",".join([trial_id, label, *["0.0"] * n_samples])
+    path = dataset.with_name("dropout.csv")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["online", "--out", "out", *ONLINE_FLAGS],
+        ["grid", "--out", "static.csv", "--mode", "static", "--k", "5", "--static-seeds", "3"],
+        ["grid", "--out", "online.csv", "--mode", "online", "--k", "5", "--l-value", "50,100",
+         *ONLINE_FLAGS],
+    ],
+)
+def test_all_zero_trial_runs_under_cosine(tmp_path, dataset, monkeypatch, argv):
+    path = zero_trial_dataset(dataset)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--dataset", str(path), "--metric", "cosine"]) == EXIT_OK
 
 
 class TestGrid:

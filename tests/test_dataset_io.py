@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,23 @@ class TestOverwriteGuard:
         ]
         with pytest.raises(ValueError, match="share"):
             write_dataset(tmp_path / "bad.csv", trials)
+
+
+class TestTrialIds:
+    @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb"])
+    def test_unreadable_ids_rejected_before_writing(self, tmp_path, bad_id):
+        trials = [LabeledTrial(bad_id, ForceTrace(np.ones(3), 10.0), Label.POSITIVE)]
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(bad_id))):
+            write_dataset(path, trials)
+        assert not path.exists()
+
+    def test_ids_with_spaces_quotes_and_non_ascii_round_trip(self, tmp_path):
+        ids = ["trial 1", 'say "hi"', "it's", "größe-Ω", " padded "]
+        trials = [LabeledTrial(i, ForceTrace(np.ones(3), 10.0), Label.NEGATIVE) for i in ids]
+        path = tmp_path / "data.csv"
+        write_dataset(path, trials)
+        assert [t.id for t in read_dataset(path)] == ids
 
 
 class TestMalformedFiles:

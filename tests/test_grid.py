@@ -8,8 +8,8 @@ import pytest
 from forceknn.classifier import COSINE, EUCLIDEAN, Decision, KnnModel, Label, classify, minkowski
 from forceknn.datagen import gen_dataset
 from forceknn.grid import GridRow, GridSpec, online_grid, static_grid
-from forceknn.online import LoopConfig
-from forceknn.signal import PreprocessConfig, preprocess
+from forceknn.online import LabeledTrial, LoopConfig
+from forceknn.signal import ForceTrace, PreprocessConfig, preprocess
 
 
 def static_cell_oracle(trials, seed, fraction, k, metric, l_value):
@@ -96,6 +96,27 @@ class TestStaticGrid:
                 assert row.precision is None
             else:
                 assert row.precision == pytest.approx(expected)
+
+    def test_zero_norm_trial_follows_the_classify_rules(self, trials):
+        # an all-zero trace abstains as a query and sits at cosine distance 1
+        # as a reference; odd k at l=50 abstains on nothing else
+        zero = ForceTrace(np.zeros(len(trials[0].trace)), trials[0].trace.sample_rate)
+        with_zero = [LabeledTrial("zero", zero, Label.POSITIVE), *trials]
+        n = len(with_zero)
+        test_size = max(1, round(n * 100 / 704))
+        in_test = {
+            s: 0 in np.random.default_rng(s).permutation(n)[n - test_size :] for s in range(40)
+        }
+        grid = GridSpec(
+            k_values=(3,), metrics=(COSINE,), l_values=(50.0,), train_fractions=(1.0,)
+        )
+        for answer in (True, False):
+            seed = min(s for s in in_test if in_test[s] is answer)
+            row = static_grid(with_zero, grid, seeds=(seed,))[0]
+            tp, fp, tn, fn, unc, n_test = static_cell_oracle(with_zero, seed, 1.0, 3, COSINE, 50.0)
+            assert (row.tp, row.fp, row.tn, row.fn) == (tp, fp, tn, fn)
+            assert row.uncertain_pct == pytest.approx(100.0 * unc / n_test)
+            assert unc == int(in_test[seed])
 
     def test_minkowski2_row_equals_euclidean_row(self, trials):
         grid = GridSpec(

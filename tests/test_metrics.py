@@ -23,9 +23,7 @@ from forceknn.online import LoopConfig, Phase, RunReport, TrialRecord
 
 
 def record(predicted, truth, phase=Phase.CLASSIFIED, index=0):
-    verified = phase is not Phase.CLASSIFIED
-    decision = Decision.UNCERTAIN if verified else Decision.from_label(predicted)
-    return TrialRecord(f"t{index}", decision, verified, predicted, truth, phase)
+    return TrialRecord(f"t{index}", predicted, truth, phase)
 
 
 def random_records(rng, n):
@@ -55,6 +53,16 @@ def tally_oracle(records, mode):
         else:
             fn += 1
     return tp, fp, tn, fn, unc
+
+
+class TestTrialRecord:
+    def test_decision_and_verified_follow_phase(self):
+        for phase in (Phase.SEED, Phase.FALLBACK):
+            r = record(Label.NEGATIVE, Label.NEGATIVE, phase)
+            assert (r.decision, r.verified) == (Decision.UNCERTAIN, True)
+        for label in Label:
+            r = record(label, Label.POSITIVE)
+            assert (r.decision, r.verified) == (Decision.from_label(label), False)
 
 
 class TestConfusion:

@@ -38,9 +38,7 @@ def reference_run(trials, cfg: LoopConfig):
         oracle_calls += 1
         dataset.append((preprocess(trial.trace, cfg.preprocess), trial.truth))
         n_pos += trial.truth is Label.POSITIVE
-        records.append(
-            TrialRecord(trial.id, Decision.UNCERTAIN, True, trial.truth, trial.truth, Phase.SEED)
-        )
+        records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.SEED))
     assert len(dataset) >= cfg.seed_size and n_pos >= quota
 
     model = KnnModel(dataset, cfg.k, cfg.metric, cfg.l_value)
@@ -50,14 +48,10 @@ def reference_run(trials, cfg: LoopConfig):
         if decision is Decision.UNCERTAIN:
             oracle_calls += 1
             dataset.append((feature, trial.truth))
-            records.append(
-                TrialRecord(trial.id, decision, True, trial.truth, trial.truth, Phase.FALLBACK)
-            )
+            records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.FALLBACK))
         else:
             records.append(
-                TrialRecord(
-                    trial.id, decision, False, decision.to_label(), trial.truth, Phase.CLASSIFIED
-                )
+                TrialRecord(trial.id, decision.to_label(), trial.truth, Phase.CLASSIFIED)
             )
         if step % cfg.retrain_interval == 0:
             model = KnnModel(dataset, cfg.k, cfg.metric, cfg.l_value)
