@@ -9,6 +9,7 @@ so write-then-read reproduces traces bit for bit.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,6 +27,25 @@ _TEXT_TO_LABEL = {text: label for label, text in _LABEL_TO_TEXT.items()}
 
 class DatasetFormatError(ValueError):
     """Malformed dataset file; the message carries the offending line number."""
+
+
+def _write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 with LF line endings, replacing ``path`` atomically.
+
+    The text goes to a temporary file in the same directory, which is renamed
+    over ``path`` only once it is complete, so a failed write leaves any
+    earlier file untouched and removes the temporary file. A symlink at
+    ``path`` stays in place and its target is replaced.
+    """
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_dataset(
@@ -62,7 +82,7 @@ def write_dataset(
     for trial in trials:
         values = ",".join(repr(float(v)) for v in trial.trace.samples)
         lines.append(f"{trial.id},{_LABEL_TO_TEXT[trial.truth]},{values}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _fail(line_no: int, message: str) -> DatasetFormatError:
@@ -101,7 +121,7 @@ def read_dataset(path: str | Path) -> list[LabeledTrial]:
         if label is None:
             raise _fail(offset, f"label must be 'pos' or 'neg', got {fields[1]!r}")
         try:
-            samples = np.array([float(v) for v in fields[2:]])
+            samples = np.array(fields[2:], dtype=float)
             trace = ForceTrace(samples, sample_rate)
         except ValueError as exc:
             raise _fail(offset, str(exc)) from None

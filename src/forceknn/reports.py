@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .dataset_io import _write_text_atomic
 from .grid import GridRow
 from .metrics import SummaryRow, TimeModel, _costs, _window_counts, _window_sums
 from .online import RunReport
@@ -111,7 +112,7 @@ def _write_csv(
     writer.writerow([*lead_columns, *names])
     for lead, row in rows:
         writer.writerow([_fmt(value) for value in (*lead, *(getattr(row, n) for n in names))])
-    path.write_text(buf.getvalue(), encoding="utf-8", newline="\n")
+    _write_text_atomic(path, buf.getvalue())
 
 
 def write_records_jsonl(path: str | Path, reports: Sequence[RunReport]) -> None:
@@ -130,7 +131,7 @@ def write_records_jsonl(path: str | Path, reports: Sequence[RunReport]) -> None:
                 "truth": record.truth.value,
             }
             lines.append(json.dumps(payload, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
+    _write_text_atomic(Path(path), "\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_summary_csv(

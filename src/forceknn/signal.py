@@ -1,12 +1,15 @@
-"""Force-trace preprocessing: Savitzky-Golay smoothing and mean down-sampling."""
+"""Force-trace preprocessing: Savitzky-Golay smoothing and mean down-sampling.
+
+The smoothing filter is a fixed projection matrix, cached per (window, order).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import savgol_filter
 
 __all__ = [
     "ForceTrace",
@@ -92,6 +95,21 @@ class PreprocessConfig:
             raise ValueError("ds_stride must be >= 1")
 
 
+@lru_cache(maxsize=None)
+def _savgol_projection(window: int, order: int) -> np.ndarray:
+    """Read-only least-squares hat matrix: row r gives the fit's value at offset r.
+
+    Built as ``Q Q^T`` from a QR factorisation of the Vandermonde matrix of
+    centred, scaled offsets, which stays accurate as ``order`` nears ``window``.
+    """
+    half = window // 2
+    offsets = (np.arange(window) - half) / max(half, 1)
+    basis, _ = np.linalg.qr(np.vander(offsets, order + 1, increasing=True))
+    projection = basis @ basis.T
+    projection.flags.writeable = False
+    return projection
+
+
 def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceTrace:
     """Smooth a trace with a least-squares polynomial (Savitzky-Golay) filter.
 
@@ -100,6 +118,7 @@ def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceT
     first/last full window is fitted once and the polynomial evaluated at the
     boundary offsets, so any polynomial of degree <= ``order`` passes through
     the filter unchanged at every index. Output length equals input length.
+    The filter is a fixed projection matrix, cached per (window, order).
     """
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be an odd positive integer")
@@ -107,7 +126,13 @@ def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceT
         raise ValueError("order must satisfy 0 <= order < window")
     if len(trace) < window:
         raise ValueError(f"trace of length {len(trace)} is shorter than window {window}")
-    smoothed = savgol_filter(trace.samples, window, order, mode="interp")
+    projection = _savgol_projection(window, order)
+    half = window // 2
+    x = trace.samples
+    smoothed = np.empty_like(x)
+    smoothed[:half] = projection[:half] @ x[:window]
+    smoothed[half : x.size - half] = sliding_window_view(x, window) @ projection[half]
+    smoothed[x.size - half :] = projection[half + 1 :] @ x[-window:]
     return ForceTrace(smoothed, trace.sample_rate)
 
 

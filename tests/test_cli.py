@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forceknn
 from forceknn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from forceknn.dataset_io import read_dataset
+
+
+def test_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(forceknn.__file__).resolve().parents[1])}
+    probe = "import sys, forceknn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def run_gen(tmp_path, name="data.csv", n_pos=14, n_neg=16, extra=()):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forceknn.classifier import Label
 from forceknn.dataset_io import DatasetFormatError, read_dataset, write_dataset
@@ -60,6 +64,45 @@ class TestRoundTrip:
         assert lines[2].startswith("b,neg,")
 
 
+@st.composite
+def datasets(draw):
+    """Trials with unique, readable ids and arbitrary finite samples of one length."""
+    ids = draw(
+        st.lists(
+            st.text(st.characters(codec="utf-8", exclude_characters=",\n\r"), max_size=8),
+            max_size=6,
+            unique=True,
+        )
+    )
+    n_samples = draw(st.integers(1, 12))
+    sample_rate = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    samples = st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=n_samples, max_size=n_samples
+    )
+    return [
+        LabeledTrial(
+            trial_id,
+            ForceTrace(np.array(draw(samples)), sample_rate),
+            draw(st.sampled_from([Label.POSITIVE, Label.NEGATIVE])),
+        )
+        for trial_id in ids
+    ]
+
+
+@settings(deadline=None)
+@given(trials=datasets())
+def test_write_read_round_trip_property(trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_dataset(path, trials)
+        loaded = read_dataset(path)
+    assert [t.id for t in loaded] == [t.id for t in trials]
+    assert [t.truth for t in loaded] == [t.truth for t in trials]
+    for original, parsed in zip(trials, loaded):
+        assert parsed.trace.samples.tobytes() == original.trace.samples.tobytes()
+        assert parsed.trace.sample_rate == original.trace.sample_rate
+
+
 class TestOverwriteGuard:
     def test_refuses_to_overwrite(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -67,6 +110,25 @@ class TestOverwriteGuard:
         with pytest.raises(FileExistsError):
             write_dataset(path, awkward_trials())
         write_dataset(path, awkward_trials(), overwrite=True)
+
+    def test_failed_overwrite_keeps_old_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_dataset(path, awkward_trials())
+        before = path.read_bytes()
+        # A lone surrogate cannot be encoded as UTF-8, so the write fails midway.
+        unencodable = [LabeledTrial("a\ud800", ForceTrace(np.ones(5), 12.5), Label.POSITIVE)]
+        with pytest.raises(UnicodeEncodeError):
+            write_dataset(path, unencodable, overwrite=True)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    def test_overwrite_through_symlink_replaces_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        write_dataset(target, [], n_samples=3)
+        link.symlink_to(target)
+        write_dataset(link, awkward_trials(), overwrite=True)
+        assert link.is_symlink()
+        assert len(read_dataset(target)) == 2
 
     def test_mixed_shapes_rejected(self, tmp_path):
         trials = [

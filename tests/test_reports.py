@@ -99,6 +99,16 @@ class TestWriters:
         fields = data_line.split(",")
         assert fields[5] == ""
 
+    def test_failed_write_keeps_old_file(self, tmp_path, reports):
+        path = tmp_path / "summary.csv"
+        write_summary_csv(path, [summarize_runs(reports)], {"runs": 3})
+        before = path.read_bytes()
+        # A lone surrogate cannot be encoded as UTF-8, so the write fails midway.
+        with pytest.raises(UnicodeEncodeError):
+            write_summary_csv(path, [summarize_runs(reports)], {"runs": "\ud800"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+
     def test_windows_csv_round_trip_shape(self, tmp_path, reports):
         series = aggregate_window_series(reports, window=10)
         path = tmp_path / "windows.csv"

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forceknn.signal import (
     FeatureVector,
@@ -39,6 +43,46 @@ def savgol_oracle(x: np.ndarray, window: int, order: int) -> np.ndarray:
     out[:half] = _polyfit_window(x[:window], np.arange(half), order)
     out[n - half :] = _polyfit_window(x[n - window :], np.arange(half + 1, window), order)
     return out
+
+
+def exact_hat_matrix(window: int, order: int) -> list[list[Fraction]]:
+    """Least-squares hat matrix ``V (V^T V)^-1 V^T`` in exact rational arithmetic.
+
+    ``V`` is the Vandermonde matrix of offsets ``0..window-1``; row r maps a
+    window of samples to the fitted polynomial's value at offset r.
+    """
+    m = order + 1
+    vander = [[Fraction(t) ** j for j in range(m)] for t in range(window)]
+    gram = [[sum(row[a] * row[b] for row in vander) for b in range(m)] for a in range(m)]
+    # Gauss-Jordan elimination of [gram | I] leaves [I | gram^-1].
+    aug = [gram[a] + [Fraction(int(a == b)) for b in range(m)] for a in range(m)]
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if aug[r][c])
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(m):
+            if r != c and aug[r][c]:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    inverse = [row[m:] for row in aug]
+    coef = [[sum(v * inv[b] for v, inv in zip(row, inverse)) for b in range(m)] for row in vander]
+    return [[sum(c * v for c, v in zip(ci, vj)) for vj in vander] for ci in coef]
+
+
+def exact_savgol(x: np.ndarray, window: int, order: int) -> np.ndarray:
+    """Smoothing oracle in exact arithmetic, rounded once to float at the end."""
+    hat = exact_hat_matrix(window, order)
+    xs = [Fraction(v) for v in x.tolist()]
+    n, half = len(xs), window // 2
+    out = []
+    for i in range(n):
+        if i < half:
+            row, segment = hat[i], xs[:window]
+        elif i >= n - half:
+            row, segment = hat[window - (n - i)], xs[n - window :]
+        else:
+            row, segment = hat[half], xs[i - half : i + half + 1]
+        out.append(float(sum(h * v for h, v in zip(row, segment))))
+    return np.array(out)
 
 
 def downsample_oracle(x: np.ndarray, window: int, stride: int) -> np.ndarray:
@@ -106,6 +150,25 @@ class TestSavgolSmooth:
         for window, order in [(5, 1), (7, 3), (21, 4)]:
             out = savgol_smooth(ForceTrace(x), window, order)
             np.testing.assert_allclose(out.samples, savgol_oracle(x, window, order), atol=1e-9)
+
+    @pytest.mark.parametrize("window, order", [(15, 10), (15, 14), (21, 20)])
+    def test_high_orders_match_exact_rational_oracle(self, window, order):
+        # The normal-equation oracle above is itself ill-conditioned here.
+        x = np.random.default_rng(order).normal(size=40)
+        out = savgol_smooth(ForceTrace(x), window, order)
+        np.testing.assert_allclose(out.samples, exact_savgol(x, window, order), atol=1e-6)
+
+    @settings(deadline=None)
+    @given(half=st.integers(0, 20), extra=st.integers(0, 40), data=st.data())
+    def test_polynomials_up_to_order_pass_unchanged(self, half, extra, data):
+        window = 2 * half + 1
+        order = data.draw(st.integers(0, window - 1), label="order")
+        coeffs = data.draw(
+            st.lists(st.floats(-10, 10), min_size=1, max_size=order + 1), label="coeffs"
+        )
+        poly = np.polynomial.polynomial.polyval(np.linspace(-1, 1, window + extra), coeffs)
+        out = savgol_smooth(ForceTrace(poly), window, order)
+        np.testing.assert_allclose(out.samples, poly, atol=1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
