@@ -4,7 +4,8 @@ A query is answered with the majority label of its k nearest reference
 samples only when the share of agreeing neighbours reaches a configurable
 minimum-agreement percentage; below that the classifier abstains and the
 caller is expected to fall back to an authoritative check. The vote is one
-function, shared by ``classify``, ``decide`` and the static grid sweep.
+function, shared by ``classify``, ``decide``, the online replay and the
+static grid sweep.
 
 Cosine distance is undefined for a zero-norm vector. A zero-norm query
 (a dropped-out trace) abstains, and a zero-norm reference sits at cosine
@@ -143,7 +144,11 @@ def _batch_distances(
         query_norm = float(np.linalg.norm(query))
         if query_norm == 0.0:
             return None
-        sims = (matrix @ query) / (norms * query_norm)
+        # One dot product per row, not a matrix-vector product: BLAS rounds a
+        # row of ``matrix @ query`` differently by its position in ``matrix``,
+        # which would split exact-duplicate references and make a row's
+        # distance depend on which snapshot holds it.
+        sims = np.vecdot(matrix, query) / (norms * query_norm)
         return 1.0 - np.clip(sims, -1.0, 1.0)
     diff = matrix - query
     if metric.kind == "euclidean":

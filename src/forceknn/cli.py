@@ -25,7 +25,7 @@ from .reports import (
     write_summary_csv,
     write_windows_csv,
 )
-from .signal import FeatureVector, PreprocessConfig
+from .signal import PreprocessConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -259,12 +259,12 @@ def _cmd_online(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tm = TimeModel()
-    features: dict[str, FeatureVector] = {}
+    distances: dict = {}  # one distance matrix, shared by every l-value
     summary_rows = []
     window_series = []
     for l_value, records_name in zip(opts["l_value"], records_names):
         cfg = _loop_config(opts, k, metric, l_value)
-        reports = run_replicated(trials, cfg, feature_cache=features)
+        reports = run_replicated(trials, cfg, feature_cache=distances)
         summary_rows.append(summarize_runs(reports))
         window_series.append((l_value, aggregate_window_series(reports, tm)))
         records_path = out_dir / records_name

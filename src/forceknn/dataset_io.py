@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,19 +29,22 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; the message carries the offending line number."""
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8 with LF line endings, replacing ``path`` atomically.
+def _write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` in order as UTF-8, replacing ``path`` atomically.
 
-    The text goes to a temporary file in the same directory, which is renamed
-    over ``path`` only once it is complete, so a failed write leaves any
-    earlier file untouched and removes the temporary file. A symlink at
+    ``chunks`` may be a generator, so a large file is streamed rather than
+    joined in memory; line endings are written as given. The text goes to a
+    temporary file in the same directory, which is renamed over ``path``
+    only once it is complete, so a failed write (a failing generator
+    included) leaves any earlier file untouched and removes the temporary
+    file. A symlink at
     ``path`` stays in place and its target is replaced.
     """
     path = path.resolve()
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -78,11 +81,14 @@ def write_dataset(
     else:
         n_samples = 0 if n_samples is None else int(n_samples)
         sample_rate = 500.0 if sample_rate is None else float(sample_rate)
-    lines = [f"id,label,{n_samples},{float(sample_rate)!r}"]
-    for trial in trials:
-        values = ",".join(repr(float(v)) for v in trial.trace.samples)
-        lines.append(f"{trial.id},{_LABEL_TO_TEXT[trial.truth]},{values}")
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+
+    def lines() -> Iterator[str]:
+        yield f"id,label,{n_samples},{float(sample_rate)!r}\n"
+        for trial in trials:
+            values = ",".join(repr(float(v)) for v in trial.trace.samples)
+            yield f"{trial.id},{_LABEL_TO_TEXT[trial.truth]},{values}\n"
+
+    _write_text_atomic(path, lines())
 
 
 def _fail(line_no: int, message: str) -> DatasetFormatError:

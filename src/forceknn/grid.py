@@ -31,7 +31,7 @@ from .classifier import (
 )
 from .metrics import summarize_runs
 from .online import LabeledTrial, LoopConfig, run_replicated
-from .signal import FeatureVector, PreprocessConfig, preprocess
+from .signal import PreprocessConfig, preprocess
 
 __all__ = ["GridSpec", "GridRow", "static_grid", "online_grid"]
 
@@ -206,16 +206,18 @@ def online_grid(
     """
     trials = list(trials)
     rows = []
-    features: dict[str, FeatureVector] = {}
-    for k in grid.k_values:
-        for metric in grid.metrics:
+    for metric in grid.metrics:
+        # One distance matrix serves all k x l cells of a metric; a fresh
+        # cache per metric keeps at most one matrix alive.
+        distances: dict = {}
+        for k in grid.k_values:
             for l_value in grid.l_values:
                 try:
                     cfg = dataclasses.replace(base_cfg, k=k, metric=metric, l_value=l_value)
                 except ValueError:
                     rows.append(_CellStats().to_row(k, metric, l_value, 1.0))
                     continue
-                reports = run_replicated(trials, cfg, base_seed, feature_cache=features)
+                reports = run_replicated(trials, cfg, base_seed, feature_cache=distances)
                 summary = summarize_runs(reports)
                 rows.append(
                     GridRow(

@@ -17,8 +17,11 @@ from enum import Enum
 
 import numpy as np
 
+# KnnModel and classify are not used here but stay importable: callers reach
+# the single-query API through this module.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
-from .signal import FeatureVector, ForceTrace, PreprocessConfig, preprocess
+from .classifier import _batch_distances, _reference_norms, _vote
+from .signal import ForceTrace, PreprocessConfig, preprocess
 
 __all__ = [
     "LabeledTrial",
@@ -134,15 +137,41 @@ class RunReport:
         return sum(1 for r in self.records if r.verified)
 
 
-class _HeightCheckOracle:
-    """Exact stand-in for the physical height check; counts invocations."""
+@dataclass(frozen=True)
+class _Distances:
+    """All pairwise distances of a trial set under one metric and preprocessing.
 
-    def __init__(self) -> None:
-        self.calls = 0
+    ``matrix[i, j]`` is the distance from query row i to reference row j,
+    filled row by row with the per-query routine of ``classify``, so both
+    see the same floats. ``row_of`` maps trial id to row. ``answered[i]`` is
+    False for a query without defined distances (zero norm under cosine);
+    its row holds zeros and is never ranked.
+    """
 
-    def label(self, trial: LabeledTrial) -> Label:
-        self.calls += 1
-        return trial.truth
+    matrix: np.ndarray
+    row_of: dict[str, int]
+    answered: np.ndarray
+
+
+def _distances(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict) -> _Distances:
+    """The cached distances for ``cfg`` if they cover ``trials``, else new ones."""
+    key = (cfg.metric, cfg.preprocess)
+    entry = cache.get(key)
+    if entry is not None and all(trial.id in entry.row_of for trial in trials):
+        return entry
+    features = np.stack([preprocess(trial.trace, cfg.preprocess).values for trial in trials])
+    norms = _reference_norms(features)
+    matrix = np.empty((len(trials), len(trials)))
+    answered = np.ones(len(trials), dtype=bool)
+    for i, query in enumerate(features):
+        row = _batch_distances(features, norms, query, cfg.metric)
+        if row is None:
+            answered[i] = False
+            row = 0.0
+        matrix[i] = row
+    entry = _Distances(matrix, {trial.id: i for i, trial in enumerate(trials)}, answered)
+    cache[key] = entry
+    return entry
 
 
 def run_online(
@@ -150,14 +179,20 @@ def run_online(
     cfg: LoopConfig = LoopConfig(),
     rng_seed: int | None = None,
     *,
-    feature_cache: dict[str, FeatureVector] | None = None,
+    feature_cache: dict | None = None,
 ) -> RunReport:
     """Replay the self-supervised loop over ``trials`` in stream order.
 
     The loop itself is deterministic; ``rng_seed`` is only echoed into the
     report (it identifies the shuffle that produced the stream order).
-    ``feature_cache`` maps trial id to preprocessed feature and may be shared
-    across runs over the same trials and preprocessing config.
+    Between refreshes the snapshot is frozen, so each block of up to
+    ``retrain_interval`` queries is ranked and voted on in one step, over
+    rows of a distance matrix holding every pair of trials.
+
+    ``feature_cache`` memoises that matrix, with its id-to-row map, under
+    ``(cfg.metric, cfg.preprocess)``; share it across runs over the same
+    trials, and across l-values and k. Each entry holds 8 * n**2 bytes for
+    n trials (4 MB at n = 704).
 
     Raises ValueError if the stream is no longer than the seed phase, lacks
     one of the classes, or is exhausted before the seed quota is met.
@@ -171,20 +206,16 @@ def run_online(
     if present != {Label.POSITIVE, Label.NEGATIVE}:
         raise ValueError("trial stream must contain both classes")
     if len({trial.id for trial in trials}) != len(trials):
-        raise ValueError("trial ids must be unique")  # the feature cache keys on them
+        raise ValueError("trial ids must be unique")  # the distance rows key on them
 
-    features = feature_cache if feature_cache is not None else {}
-
-    def feature_of(trial: LabeledTrial) -> FeatureVector:
-        cached = features.get(trial.id)
-        if cached is None:
-            cached = preprocess(trial.trace, cfg.preprocess)
-            features[trial.id] = cached
-        return cached
-
-    oracle = _HeightCheckOracle()
+    distances = _distances(trials, cfg, {} if feature_cache is None else feature_cache)
+    rows = [distances.row_of[trial.id] for trial in trials]
     records: list[TrialRecord] = []
-    dataset: list[tuple[FeatureVector, Label]] = []
+    # The dataset, in insertion order: matrix rows and their oracle labels.
+    # The oracle is exact, so its answer is the trial's truth; it is asked
+    # once per seed and fallback trial, and only those trials join.
+    dataset: list[int] = []
+    dataset_pos: list[bool] = []
 
     # Seed phase: oracle-label from the stream head until both the size and
     # the positive quota are met; a shortfall of positives extends the phase.
@@ -193,44 +224,41 @@ def run_online(
     consumed = 0
     while consumed < len(trials) and (len(dataset) < cfg.seed_size or n_positive < positive_quota):
         trial = trials[consumed]
+        dataset.append(rows[consumed])
+        dataset_pos.append(trial.truth is Label.POSITIVE)
+        n_positive += dataset_pos[-1]
+        records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.SEED))
         consumed += 1
-        label = oracle.label(trial)
-        dataset.append((feature_of(trial), label))
-        if label is Label.POSITIVE:
-            n_positive += 1
-        records.append(TrialRecord(trial.id, label, trial.truth, Phase.SEED))
     if len(dataset) < cfg.seed_size or n_positive < positive_quota:
         raise ValueError("stream exhausted before the seed phase completed")
 
-    snapshot = KnnModel(dataset, k=cfg.k, metric=cfg.metric, l_value=cfg.l_value)
-    snapshot_size = len(dataset)
-
-    processed = 0
-    for trial in trials[consumed:]:
-        feature = feature_of(trial)
-        if len(snapshot) < cfg.k:
-            decision = Decision.UNCERTAIN  # cold start: defer to the oracle
-        else:
-            decision = classify(snapshot, feature)
-        if decision is Decision.UNCERTAIN:
-            label = oracle.label(trial)
-            dataset.append((feature, label))
-            records.append(TrialRecord(trial.id, label, trial.truth, Phase.FALLBACK))
-        else:
-            records.append(
-                TrialRecord(trial.id, decision.to_label(), trial.truth, Phase.CLASSIFIED)
-            )
-        processed += 1
-        if processed % cfg.retrain_interval == 0 and len(dataset) > snapshot_size:
-            snapshot = KnnModel(dataset, k=cfg.k, metric=cfg.metric, l_value=cfg.l_value)
-            snapshot_size = len(dataset)
+    # Each block sees the snapshot taken at its start. The seed phase holds at
+    # least seed_size >= k entries, so every snapshot has k neighbours to rank.
+    threshold = min_agreeing_count(cfg.k, cfg.l_value)
+    for start in range(consumed, len(trials), cfg.retrain_interval):
+        stop = start + cfg.retrain_interval
+        block = rows[start:stop]
+        snapshot = np.array(dataset)
+        ranked = np.argsort(distances.matrix[np.ix_(block, snapshot)], axis=1, kind="stable")
+        n_pos = np.array(dataset_pos)[ranked[:, : cfg.k]].sum(axis=1)
+        positive, negative = _vote(n_pos, cfg.k, threshold)
+        answered = distances.answered[block]
+        verdicts = zip(block, (positive & answered).tolist(), (negative & answered).tolist())
+        for trial, (row, is_pos, is_neg) in zip(trials[start:stop], verdicts):
+            if is_pos or is_neg:
+                predicted = Label.POSITIVE if is_pos else Label.NEGATIVE
+                records.append(TrialRecord(trial.id, predicted, trial.truth, Phase.CLASSIFIED))
+            else:
+                dataset.append(row)
+                dataset_pos.append(trial.truth is Label.POSITIVE)
+                records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.FALLBACK))
 
     return RunReport(
         records=tuple(records),
         final_dataset_size=len(dataset),
         config=cfg,
         rng_seed=cfg.rng_seed if rng_seed is None else rng_seed,
-        oracle_calls=oracle.calls,
+        oracle_calls=len(dataset),  # one oracle answer per dataset entry
     )
 
 
@@ -243,23 +271,25 @@ def run_replicated(
     cfg: LoopConfig = LoopConfig(),
     base_seed: int | None = None,
     *,
-    feature_cache: dict[str, FeatureVector] | None = None,
+    feature_cache: dict | None = None,
 ) -> list[RunReport]:
     """Run the loop ``cfg.n_runs`` times over per-run shuffles of ``trials``.
 
     Run i shuffles with a seed derived deterministically from
     ``(base_seed, i)``, so replays are reproducible and runs are independent.
-    ``base_seed`` defaults to ``cfg.rng_seed``.
+    ``base_seed`` defaults to ``cfg.rng_seed``. Every run ranks over one
+    distance matrix, built by the first run and kept in ``feature_cache``
+    (see ``run_online``; 8 * n**2 bytes per metric and preprocessing config).
     """
     trials = list(trials)
     base = cfg.rng_seed if base_seed is None else base_seed
     if base < 0:
         raise ValueError("base_seed must be non-negative")
-    features = feature_cache if feature_cache is not None else {}
+    cache = feature_cache if feature_cache is not None else {}
     reports = []
     for run_index in range(cfg.n_runs):
         run_seed = _run_seed(base, run_index)
         order = np.random.default_rng(run_seed).permutation(len(trials))
         shuffled = [trials[j] for j in order]
-        reports.append(run_online(shuffled, cfg, rng_seed=run_seed, feature_cache=features))
+        reports.append(run_online(shuffled, cfg, rng_seed=run_seed, feature_cache=cache))
     return reports

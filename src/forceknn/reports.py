@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -112,26 +112,33 @@ def _write_csv(
     writer.writerow([*lead_columns, *names])
     for lead, row in rows:
         writer.writerow([_fmt(value) for value in (*lead, *(getattr(row, n) for n in names))])
-    _write_text_atomic(path, buf.getvalue())
+    _write_text_atomic(path, (buf.getvalue(),))
+
+
+_RECORD_LINE = (
+    '{"decision": "%s", "phase": "%s", "predicted": "%s", "run": %d, "run_seed": %d, '
+    '"trial_id": %s, "truth": "%s", "verified": %s}\n'
+)
 
 
 def write_records_jsonl(path: str | Path, reports: Sequence[RunReport]) -> None:
-    """One JSON object per processed trial, across all runs in order."""
-    lines = []
-    for run_index, report in enumerate(reports):
-        for record in report.records:
-            payload = {
-                "run": run_index,
-                "run_seed": report.rng_seed,
-                "trial_id": record.trial_id,
-                "phase": record.phase.value,
-                "decision": record.decision.value,
-                "verified": record.verified,
-                "predicted": record.predicted.value,
-                "truth": record.truth.value,
-            }
-            lines.append(json.dumps(payload, sort_keys=True))
-    _write_text_atomic(Path(path), "\n".join(lines) + ("\n" if lines else ""))
+    """One JSON object per processed trial, across all runs in order.
+
+    Each line is ``json.dumps(payload, sort_keys=True)`` of the record's
+    fields, filled into a fixed template: only the trial id needs escaping,
+    every other value is a number, a boolean or a fixed enum value.
+    """
+
+    def lines() -> Iterator[str]:
+        for run_index, report in enumerate(reports):
+            for r in report.records:
+                verified = "true" if r.verified else "false"
+                yield _RECORD_LINE % (
+                    r.decision.value, r.phase.value, r.predicted.value, run_index,
+                    report.rng_seed, json.dumps(r.trial_id), r.truth.value, verified,
+                )
+
+    _write_text_atomic(Path(path), lines())
 
 
 def write_summary_csv(

@@ -379,6 +379,18 @@ class TestClassify:
         near = (FeatureVector(query.values + 0.1), Label.NEGATIVE)
         assert classify(KnnModel([*dataset, near], k=1), query) is Decision.NEGATIVE
 
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=str)
+    def test_exact_duplicate_references_tie_in_insertion_order(self, metric):
+        # copies of one vector sit at one distance wherever they stand in the
+        # snapshot, so the nearest are the earliest copies
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n, dim = int(rng.integers(2, 12)), int(rng.integers(2, 40))
+            reference = FeatureVector(rng.normal(size=dim))
+            labels = [Label.POSITIVE if i % 2 else Label.NEGATIVE for i in range(n)]
+            model = KnnModel([(reference, label) for label in labels], k=n, metric=metric)
+            assert nearest_labels(model, FeatureVector(rng.normal(size=dim))) == labels
+
     def test_determinism(self):
         rng = np.random.default_rng(88)
         dataset = [

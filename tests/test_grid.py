@@ -189,6 +189,45 @@ class TestOnlineGrid:
             100.0 * summary.mean_uncertain / summary.n_records
         )
 
+    def test_every_cell_matches_its_replicated_summary(self, trials, monkeypatch):
+        import forceknn.online
+        from forceknn.metrics import summarize_runs
+        from forceknn.online import run_replicated
+
+        preprocessed = []
+
+        def counting_preprocess(trace, cfg):
+            preprocessed.append(trace)
+            return preprocess(trace, cfg)
+
+        monkeypatch.setattr(forceknn.online, "preprocess", counting_preprocess)
+        grid = GridSpec(
+            k_values=(3, 5),
+            metrics=(COSINE, EUCLIDEAN, minkowski(3.0)),
+            l_values=(60.0, 100.0),
+            train_fractions=(1.0,),
+        )
+        base_cfg = LoopConfig(seed_size=12, n_runs=2)
+        rows = online_grid(trials, grid, base_cfg, base_seed=4)
+        # one distance matrix per metric serves all of that metric's k x l cells
+        assert len(preprocessed) == len(trials) * len(grid.metrics)
+        keys = [(r.k, r.metric, r.l_value) for r in rows]
+        assert keys == sorted(keys) and len(keys) == 12
+        for row in rows:
+            metric = next(m for m in grid.metrics if str(m) == row.metric)
+            cfg = LoopConfig(k=row.k, metric=metric, l_value=row.l_value, seed_size=12, n_runs=2)
+            summary = summarize_runs(run_replicated(trials, cfg, base_seed=4))
+            assert row.status == "ok" and row.train_fraction == 1.0
+            assert (row.precision, row.recall, row.tp, row.fp, row.tn, row.fn) == (
+                summary.mean_precision,
+                summary.mean_recall,
+                summary.mean_tp,
+                summary.mean_fp,
+                summary.mean_tn,
+                summary.mean_fn,
+            )
+            assert row.uncertain_pct == 100.0 * summary.mean_uncertain / summary.n_records
+
     def test_seed_phase_smaller_than_k_is_infeasible(self, trials):
         grid = GridSpec(
             k_values=(5, 25), metrics=(COSINE,), l_values=(100.0,), train_fractions=(1.0,)

@@ -6,8 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forceknn.classifier import COSINE, Decision, EUCLIDEAN, KnnModel, Label, classify
+from forceknn.classifier import (
+    COSINE,
+    EUCLIDEAN,
+    MANHATTAN,
+    Decision,
+    KnnModel,
+    Label,
+    classify,
+    minkowski,
+)
 from forceknn.datagen import GenParams, gen_dataset, gen_trial
 from forceknn.online import (
     LabeledTrial,
@@ -15,6 +26,7 @@ from forceknn.online import (
     Phase,
     RunReport,
     TrialRecord,
+    _run_seed,
     run_online,
     run_replicated,
 )
@@ -295,3 +307,57 @@ class TestVerificationMonotonicity:
         reports50 = run_replicated(trials, cfg50, base_seed=1, feature_cache=cache)
         for high, low in zip(reports100, reports50):
             assert high.verified_count >= low.verified_count
+
+
+@st.composite
+def replay_cases(draw):
+    """A small generated stream plus a loop config that can complete its seed phase.
+
+    The stream may hold exact copies of other traces (any label), which tie
+    on distance, and all-zero traces, which abstain as cosine queries and
+    sit at cosine distance 1 as references.
+    """
+    trials = gen_dataset(
+        draw(st.integers(8, 14)), draw(st.integers(8, 14)), rng_seed=draw(st.integers(0, 999))
+    )
+    labels = st.sampled_from(Label)
+    # copies of a few sources, so that ties often straddle the k-th neighbour
+    sources = draw(st.lists(st.integers(0, 3), max_size=16))
+    copies = [LabeledTrial(f"copy{i}", trials[j].trace, draw(labels)) for i, j in enumerate(sources)]
+    flat = ForceTrace(np.zeros(len(trials[0].trace)), trials[0].trace.sample_rate)
+    zeros = [LabeledTrial(f"zero{i}", flat, draw(labels)) for i in range(draw(st.integers(0, 2)))]
+    pool = trials + copies + zeros
+    stream = [pool[i] for i in draw(st.permutations(range(len(pool))))]
+    k = draw(st.integers(1, 7))
+    cfg = LoopConfig(
+        k=k,
+        metric=draw(st.sampled_from([COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0)])),
+        l_value=draw(st.floats(50.0, 100.0)),
+        retrain_interval=draw(st.integers(1, 8)),
+        seed_size=draw(st.integers(k, k + 6)),
+        n_runs=2,
+    )
+    return stream, cfg
+
+
+class TestBatchedReplayMatchesReference:
+    @settings(deadline=None, max_examples=100)
+    @given(case=replay_cases(), base_seed=st.integers(0, 2**32))
+    def test_run_online_and_run_replicated(self, case, base_seed):
+        stream, cfg = case
+        cache: dict = {}
+        report = run_online(stream, cfg, feature_cache=cache)
+        assert (report.records, report.final_dataset_size, report.oracle_calls) == reference_run(
+            stream, cfg
+        )
+        # the cached matrix was built in stream order and serves every shuffle
+        for run_index, report in enumerate(
+            run_replicated(stream, cfg, base_seed, feature_cache=cache)
+        ):
+            order = np.random.default_rng(_run_seed(base_seed, run_index)).permutation(len(stream))
+            shuffled = [stream[j] for j in order]
+            assert (
+                report.records,
+                report.final_dataset_size,
+                report.oracle_calls,
+            ) == reference_run(shuffled, cfg)

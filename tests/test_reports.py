@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -75,6 +76,43 @@ class TestWriters:
         for line, report in zip(lines, reports):
             assert json.loads(line)["run_seed"] == report.rng_seed
             break
+
+    def test_jsonl_lines_are_sorted_key_json_dumps(self, tmp_path, reports):
+        # the writer fills a template; each line must equal json.dumps of its
+        # record, including ids that need escaping
+        odd_ids = ['quote"d', "back\\slash", "tab\tid", "caf\u00e9", "\u2603 snow"]
+        renamed = [
+            dataclasses.replace(
+                report,
+                records=tuple(
+                    dataclasses.replace(record, trial_id=odd_ids[i % len(odd_ids)] + str(i))
+                    for i, record in enumerate(report.records)
+                ),
+            )
+            for report in reports
+        ]
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl(path, renamed)
+        expected = [
+            json.dumps(
+                {
+                    "run": run,
+                    "run_seed": report.rng_seed,
+                    "trial_id": record.trial_id,
+                    "phase": record.phase.value,
+                    "decision": record.decision.value,
+                    "verified": record.verified,
+                    "predicted": record.predicted.value,
+                    "truth": record.truth.value,
+                },
+                sort_keys=True,
+            )
+            for run, report in enumerate(renamed)
+            for record in report.records
+        ]
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+        write_records_jsonl(path, [])
+        assert path.read_bytes() == b""
 
     def test_summary_csv_has_echo_and_rows(self, tmp_path, reports):
         row = summarize_runs(reports)
