@@ -141,7 +141,10 @@ def _batch_distances(
 ) -> np.ndarray | None:
     """Distances from every row of ``matrix`` to ``query``; None for a zero cosine query."""
     if metric.kind == "cosine":
-        query_norm = float(np.linalg.norm(query))
+        # Summed like the reference norms, so that distances are symmetric
+        # to the bit: the online replay reads a reference's row as every
+        # query's distance to it.
+        query_norm = float(np.linalg.norm(query[np.newaxis], axis=1)[0])
         if query_norm == 0.0:
             return None
         # One dot product per row, not a matrix-vector product: BLAS rounds a

@@ -259,7 +259,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tm = TimeModel()
-    distances: dict = {}  # one distance matrix, shared by every l-value
+    distances: dict = {}  # one distance store, shared by every l-value
     summary_rows = []
     window_series = []
     for l_value, records_name in zip(opts["l_value"], records_names):

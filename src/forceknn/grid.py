@@ -207,8 +207,8 @@ def online_grid(
     trials = list(trials)
     rows = []
     for metric in grid.metrics:
-        # One distance matrix serves all k x l cells of a metric; a fresh
-        # cache per metric keeps at most one matrix alive.
+        # One distance store serves all k x l cells of a metric; a fresh
+        # cache per metric keeps at most one store alive.
         distances: dict = {}
         for k in grid.k_values:
             for l_value in grid.l_values:

@@ -137,40 +137,64 @@ class RunReport:
         return sum(1 for r in self.records if r.verified)
 
 
-@dataclass(frozen=True)
-class _Distances:
-    """All pairwise distances of a trial set under one metric and preprocessing.
+# The most a distance store holds: 1 GiB, or 2**27 / n rows of n distances.
+# Past it the store forgets its rows and starts over. A row for every trial
+# fits up to n = 11585; one run adds a row per dataset entry (108 at n = 704).
+_STORE_BYTES = 2**30
 
-    ``matrix[i, j]`` is the distance from query row i to reference row j,
-    filled row by row with the per-query routine of ``classify``, so both
-    see the same floats. ``row_of`` maps trial id to row. ``answered[i]`` is
-    False for a query without defined distances (zero norm under cosine);
-    its row holds zeros and is never ranked.
+
+class _Distances:
+    """Distances between the trials of one set under one metric and preprocessing.
+
+    Computed by reference, when a trial first sits in a snapshot: row
+    ``slot[j]`` of ``store`` holds the distances from every trial to trial j,
+    filled with the per-query routine of ``classify`` with j as the query.
+    That routine is symmetric to the bit, so the row holds the very floats
+    each query of ``classify`` would see for reference j. A zero-norm trial
+    under cosine sits at distance 1 from every query, and as a query it has
+    no distances (``answered`` is False) and abstains.
     """
 
-    matrix: np.ndarray
-    row_of: dict[str, int]
-    answered: np.ndarray
+    def __init__(self, trials: list[LabeledTrial], cfg: LoopConfig) -> None:
+        self.features = np.stack([preprocess(t.trace, cfg.preprocess).values for t in trials])
+        self.norms = _reference_norms(self.features)
+        self.metric = cfg.metric
+        self.row_of = {trial.id: i for i, trial in enumerate(trials)}
+        # The zero-norm rule of _batch_distances, for every query at once.
+        zero = np.linalg.norm(self.features, axis=1) == 0.0
+        self.answered = ~zero if cfg.metric.kind == "cosine" else np.ones(len(trials), dtype=bool)
+        self.slot = np.full(len(trials), -1)
+        self.store = np.empty((0, len(trials)))
+        self.n_rows = 0
+
+    def between(self, queries: list[int], snapshot: np.ndarray) -> np.ndarray:
+        """Distances from each snapshot entry (rows) to each query (columns)."""
+        missing = snapshot[self.slot[snapshot] < 0]
+        need = self.n_rows + len(missing)
+        if need > len(self.store):
+            n = len(self.slot)
+            limit = max(_STORE_BYTES // (8 * n), len(snapshot))  # rows the store may hold
+            if need > limit:  # full: forget every row, keep this snapshot's
+                self.slot[:] = -1
+                self.n_rows, missing, need = 0, snapshot, len(snapshot)
+            if need > len(self.store):  # grow by doubling, up to the limit
+                grown = np.empty((min(n, limit, max(2 * len(self.store), need, 64)), n))
+                grown[: self.n_rows] = self.store[: self.n_rows]
+                self.store = grown
+        for j in missing:
+            row = _batch_distances(self.features, self.norms, self.features[j], self.metric)
+            self.store[self.n_rows] = 1.0 if row is None else row
+            self.slot[j] = self.n_rows
+            self.n_rows += 1
+        return self.store[np.ix_(self.slot[snapshot], queries)]
 
 
 def _distances(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict) -> _Distances:
     """The cached distances for ``cfg`` if they cover ``trials``, else new ones."""
     key = (cfg.metric, cfg.preprocess)
     entry = cache.get(key)
-    if entry is not None and all(trial.id in entry.row_of for trial in trials):
-        return entry
-    features = np.stack([preprocess(trial.trace, cfg.preprocess).values for trial in trials])
-    norms = _reference_norms(features)
-    matrix = np.empty((len(trials), len(trials)))
-    answered = np.ones(len(trials), dtype=bool)
-    for i, query in enumerate(features):
-        row = _batch_distances(features, norms, query, cfg.metric)
-        if row is None:
-            answered[i] = False
-            row = 0.0
-        matrix[i] = row
-    entry = _Distances(matrix, {trial.id: i for i, trial in enumerate(trials)}, answered)
-    cache[key] = entry
+    if entry is None or not all(trial.id in entry.row_of for trial in trials):
+        entry = cache[key] = _Distances(trials, cfg)
     return entry
 
 
@@ -187,12 +211,14 @@ def run_online(
     report (it identifies the shuffle that produced the stream order).
     Between refreshes the snapshot is frozen, so each block of up to
     ``retrain_interval`` queries is ranked and voted on in one step, over
-    rows of a distance matrix holding every pair of trials.
+    stored rows of distances from each snapshot entry to every trial.
 
-    ``feature_cache`` memoises that matrix, with its id-to-row map, under
-    ``(cfg.metric, cfg.preprocess)``; share it across runs over the same
-    trials, and across l-values and k. Each entry holds 8 * n**2 bytes for
-    n trials (4 MB at n = 704).
+    ``feature_cache`` memoises those rows, with the preprocessed features,
+    under ``(cfg.metric, cfg.preprocess)``; share it across runs over the
+    same trials, and across l-values and k. An entry stores 8 * n bytes per
+    trial that has sat in a snapshot, for n trials: one run adds a row per
+    dataset entry (under 1 MB at n = 704), many runs approach 8 * n**2 bytes
+    (4 MB at n = 704), and no entry passes 1 GiB.
 
     Raises ValueError if the stream is no longer than the seed phase, lacks
     one of the classes, or is exhausted before the seed quota is met.
@@ -210,12 +236,13 @@ def run_online(
 
     distances = _distances(trials, cfg, {} if feature_cache is None else feature_cache)
     rows = [distances.row_of[trial.id] for trial in trials]
+    # The oracle is exact, so a dataset entry's label is its trial's truth.
+    row_positive = np.zeros(len(distances.slot), dtype=bool)
+    row_positive[rows] = [trial.truth is Label.POSITIVE for trial in trials]
     records: list[TrialRecord] = []
-    # The dataset, in insertion order: matrix rows and their oracle labels.
-    # The oracle is exact, so its answer is the trial's truth; it is asked
-    # once per seed and fallback trial, and only those trials join.
+    # The dataset's trial indices in insertion order. The oracle is asked once
+    # per seed and fallback trial, and only those trials join.
     dataset: list[int] = []
-    dataset_pos: list[bool] = []
 
     # Seed phase: oracle-label from the stream head until both the size and
     # the positive quota are met; a shortfall of positives extends the phase.
@@ -225,8 +252,7 @@ def run_online(
     while consumed < len(trials) and (len(dataset) < cfg.seed_size or n_positive < positive_quota):
         trial = trials[consumed]
         dataset.append(rows[consumed])
-        dataset_pos.append(trial.truth is Label.POSITIVE)
-        n_positive += dataset_pos[-1]
+        n_positive += trial.truth is Label.POSITIVE
         records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.SEED))
         consumed += 1
     if len(dataset) < cfg.seed_size or n_positive < positive_quota:
@@ -239,8 +265,8 @@ def run_online(
         stop = start + cfg.retrain_interval
         block = rows[start:stop]
         snapshot = np.array(dataset)
-        ranked = np.argsort(distances.matrix[np.ix_(block, snapshot)], axis=1, kind="stable")
-        n_pos = np.array(dataset_pos)[ranked[:, : cfg.k]].sum(axis=1)
+        ranked = np.argsort(distances.between(block, snapshot), axis=0, kind="stable")
+        n_pos = row_positive[snapshot][ranked[: cfg.k]].sum(axis=0)
         positive, negative = _vote(n_pos, cfg.k, threshold)
         answered = distances.answered[block]
         verdicts = zip(block, (positive & answered).tolist(), (negative & answered).tolist())
@@ -250,7 +276,6 @@ def run_online(
                 records.append(TrialRecord(trial.id, predicted, trial.truth, Phase.CLASSIFIED))
             else:
                 dataset.append(row)
-                dataset_pos.append(trial.truth is Label.POSITIVE)
                 records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.FALLBACK))
 
     return RunReport(
@@ -277,9 +302,10 @@ def run_replicated(
 
     Run i shuffles with a seed derived deterministically from
     ``(base_seed, i)``, so replays are reproducible and runs are independent.
-    ``base_seed`` defaults to ``cfg.rng_seed``. Every run ranks over one
-    distance matrix, built by the first run and kept in ``feature_cache``
-    (see ``run_online``; 8 * n**2 bytes per metric and preprocessing config).
+    ``base_seed`` defaults to ``cfg.rng_seed``. Every run ranks over the
+    distance rows kept in ``feature_cache``, so a row computed by one run
+    serves the later ones (see ``run_online``; up to 8 * n**2 bytes per
+    metric and preprocessing config).
     """
     trials = list(trials)
     base = cfg.rng_seed if base_seed is None else base_seed

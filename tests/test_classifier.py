@@ -22,6 +22,7 @@ from forceknn.classifier import (
     minkowski,
     nearest_labels,
 )
+from forceknn.classifier import _batch_distances, _reference_norms
 from forceknn.signal import FeatureVector
 
 ALL_METRICS = [COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0), minkowski(1.7)]
@@ -86,6 +87,19 @@ class TestDistance:
         rng = np.random.default_rng(23)
         a, b = FeatureVector(rng.normal(size=20)), FeatureVector(rng.normal(size=20))
         assert distance(a, b, metric) == pytest.approx(distance(b, a, metric), rel=1e-12)
+
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=str)
+    def test_batch_distances_symmetric_to_the_bit(self, metric):
+        # the online replay keeps one row per reference and reads it as the
+        # distances of every query to that reference
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            matrix = rng.normal(size=(int(rng.integers(2, 40)), int(rng.integers(2, 120))))
+            matrix *= rng.uniform(1e-3, 1e3, size=(len(matrix), 1))
+            matrix[-1] = 2.5 * matrix[0]
+            norms = _reference_norms(matrix)
+            rows = np.stack([_batch_distances(matrix, norms, q, metric) for q in matrix])
+            assert np.array_equal(rows, rows.T)
 
     def test_cosine_zero_for_positive_scalar_multiple(self):
         v = _fv(0.5, -2.0, 4.0)

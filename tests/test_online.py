@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forceknn import online
 from forceknn.classifier import (
     COSINE,
     EUCLIDEAN,
@@ -342,18 +344,19 @@ def replay_cases(draw):
 
 class TestBatchedReplayMatchesReference:
     @settings(deadline=None, max_examples=100)
-    @given(case=replay_cases(), base_seed=st.integers(0, 2**32))
-    def test_run_online_and_run_replicated(self, case, base_seed):
+    @given(case=replay_cases(), base_seed=st.integers(0, 2**32), store_rows=st.integers(1, 60))
+    def test_run_online_and_run_replicated(self, case, base_seed, store_rows):
         stream, cfg = case
         cache: dict = {}
-        report = run_online(stream, cfg, feature_cache=cache)
+        # A store of few rows starts over often; one of 46 or more never does.
+        with mock.patch.object(online, "_STORE_BYTES", 8 * len(stream) * store_rows):
+            report = run_online(stream, cfg, feature_cache=cache)
+            replicated = run_replicated(stream, cfg, base_seed, feature_cache=cache)
         assert (report.records, report.final_dataset_size, report.oracle_calls) == reference_run(
             stream, cfg
         )
-        # the cached matrix was built in stream order and serves every shuffle
-        for run_index, report in enumerate(
-            run_replicated(stream, cfg, base_seed, feature_cache=cache)
-        ):
+        # the cached distances were built in stream order and serve every shuffle
+        for run_index, report in enumerate(replicated):
             order = np.random.default_rng(_run_seed(base_seed, run_index)).permutation(len(stream))
             shuffled = [stream[j] for j in order]
             assert (
