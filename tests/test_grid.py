@@ -4,8 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forceknn.classifier import COSINE, EUCLIDEAN, Decision, KnnModel, Label, classify, minkowski
+from forceknn.classifier import (
+    COSINE,
+    EUCLIDEAN,
+    MANHATTAN,
+    Decision,
+    KnnModel,
+    Label,
+    classify,
+    minkowski,
+)
 from forceknn.datagen import gen_dataset
 from forceknn.grid import GridRow, GridSpec, online_grid, static_grid
 from forceknn.online import LabeledTrial, LoopConfig
@@ -168,6 +179,70 @@ class TestStaticGrid:
             static_grid(trials, seeds=())
         with pytest.raises(ValueError):
             static_grid(trials[:1])
+
+
+@st.composite
+def static_cases(draw):
+    """A small generated dataset plus a grid spec and shuffle seeds for it.
+
+    The dataset may hold exact copies of other traces (any label), which tie
+    on distance, and all-zero traces, which abstain as cosine queries and
+    sit at cosine distance 1 as references.
+    """
+    trials = gen_dataset(
+        draw(st.integers(8, 14)), draw(st.integers(8, 14)), rng_seed=draw(st.integers(0, 999))
+    )
+    labels = st.sampled_from(Label)
+    sources = draw(st.lists(st.integers(0, 3), max_size=16))
+    copies = [LabeledTrial(f"copy{i}", trials[j].trace, draw(labels)) for i, j in enumerate(sources)]
+    flat = ForceTrace(np.zeros(len(trials[0].trace)), trials[0].trace.sample_rate)
+    zeros = [LabeledTrial(f"zero{i}", flat, draw(labels)) for i in range(draw(st.integers(0, 3)))]
+    pool = trials + copies + zeros
+    dataset = [pool[i] for i in draw(st.permutations(range(len(pool))))]
+    metrics = [COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0)]
+    grid = GridSpec(
+        k_values=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2, unique=True))),
+        metrics=tuple(draw(st.lists(st.sampled_from(metrics), min_size=1, max_size=2, unique=True))),
+        l_values=tuple(draw(st.lists(st.floats(50.0, 100.0), min_size=1, max_size=2, unique=True))),
+        train_fractions=tuple(
+            draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2, unique=True))
+        ),
+    )
+    seeds = tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=2)))
+    return dataset, grid, seeds
+
+
+class TestStaticGridMatchesClassify:
+    @settings(deadline=None, max_examples=100)
+    @given(case=static_cases())
+    def test_every_cell_averages_the_oracle(self, case):
+        dataset, grid, seeds = case
+        rows = static_grid(dataset, grid, seeds=seeds)
+        assert len(rows) == (
+            len(grid.k_values) * len(grid.metrics) * len(grid.l_values) * len(grid.train_fractions)
+        )
+        pool_size = len(dataset) - max(1, round(len(dataset) * 100 / 704))
+        for row in rows:
+            assert row.metric in {str(m) for m in grid.metrics}
+            metric = next(m for m in grid.metrics if str(m) == row.metric)
+            if round(row.train_fraction * pool_size) < row.k:
+                assert row.status == "infeasible" and row.tp is None
+                continue
+            cells = [
+                static_cell_oracle(dataset, s, row.train_fraction, row.k, metric, row.l_value)
+                for s in seeds
+            ]
+            n = len(cells)
+            assert row.status == "ok"
+            assert (row.tp, row.fp, row.tn, row.fn) == tuple(
+                sum(cell[i] for cell in cells) / n for i in range(4)
+            )
+            uncertain = [100.0 * cell[4] / cell[5] for cell in cells]
+            assert row.uncertain_pct == sum(uncertain) / n
+            precisions = [tp / (tp + fp) for tp, fp, *_ in cells if tp + fp]
+            recalls = [tp / (tp + fn) for tp, _, _, fn, *_ in cells if tp + fn]
+            assert row.precision == (sum(precisions) / len(precisions) if precisions else None)
+            assert row.recall == (sum(recalls) / len(recalls) if recalls else None)
 
 
 class TestOnlineGrid:
