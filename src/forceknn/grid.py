@@ -23,14 +23,12 @@ from .classifier import (
     MANHATTAN,
     Label,
     Metric,
-    _batch_distances,
-    _reference_norms,
     _vote,
     min_agreeing_count,
     minkowski,
 )
 from .metrics import summarize_runs
-from .online import LabeledTrial, LoopConfig, run_replicated
+from .online import LabeledTrial, LoopConfig, _Distances, run_replicated
 from .signal import PreprocessConfig, preprocess
 
 __all__ = ["GridSpec", "GridRow", "static_grid", "online_grid"]
@@ -141,25 +139,22 @@ def static_grid(
     if len(trials) < 2:
         raise ValueError("dataset too small to split")
     features = np.stack([preprocess(t.trace, preprocess_cfg).values for t in trials])
-    norms = _reference_norms(features)
     is_pos = np.array([t.truth is Label.POSITIVE for t in trials])
     n = len(trials)
     test_size = max(1, round(n * _TEST_SHARE))
     pool_size = n - test_size
 
     stats: dict[tuple[int, int, float, float], _CellStats] = {}
-    for seed in seeds:
-        order = np.random.default_rng(seed).permutation(n)
-        pool_idx, test_idx = order[:pool_size], order[pool_size:]
-        truth_pos = is_pos[test_idx]
-        for metric_i, metric in enumerate(grid.metrics):
-            per_query = [
-                _batch_distances(features[pool_idx], norms[pool_idx], features[t], metric)
-                for t in test_idx
-            ]
-            # A query without defined distances (zero norm under cosine) abstains.
-            answered = np.array([d is not None for d in per_query])
-            dists = np.stack([np.zeros(pool_size) if d is None else d for d in per_query])
+    for metric_i, metric in enumerate(grid.metrics):
+        # The replay's distance store; one per metric, shared by every seed.
+        distances = _Distances(features, metric)
+        for seed in seeds:
+            order = np.random.default_rng(seed).permutation(n)
+            pool_idx, test_idx = order[:pool_size], order[pool_size:]
+            truth_pos = is_pos[test_idx]
+            # The test trials' rows: each test trial, as the query, to every pool trial.
+            dists = distances.between(pool_idx, test_idx)
+            answered = distances.answered[test_idx]
             for fraction in grid.train_fractions:
                 train_size = round(fraction * pool_size)
                 ranked = np.argsort(dists[:, :train_size], axis=1, kind="stable")
@@ -171,9 +166,8 @@ def static_grid(
                     neighbor_pos = is_pos[pool_idx[:train_size]][ranked[:, :k]]
                     n_pos = neighbor_pos.sum(axis=1)
                     for l_value in grid.l_values:
-                        decided_pos, decided_neg = _vote(n_pos, k, min_agreeing_count(k, l_value))
-                        decided_pos &= answered
-                        decided_neg &= answered
+                        votes = _vote(n_pos, k, min_agreeing_count(k, l_value))
+                        decided_pos, decided_neg = (mask & answered for mask in votes)
                         uncertain = int((~(decided_pos | decided_neg)).sum())
                         tp = int((decided_pos & truth_pos).sum())
                         fp = int((decided_pos & ~truth_pos).sum())

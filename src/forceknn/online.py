@@ -144,39 +144,37 @@ _STORE_BYTES = 2**30
 
 
 class _Distances:
-    """Distances between the trials of one set under one metric and preprocessing.
+    """Distances between the rows of one feature matrix under one metric.
 
-    Computed by reference, when a trial first sits in a snapshot: row
-    ``slot[j]`` of ``store`` holds the distances from every trial to trial j,
-    filled with the per-query routine of ``classify`` with j as the query.
-    That routine is symmetric to the bit, so the row holds the very floats
-    each query of ``classify`` would see for reference j. A zero-norm trial
-    under cosine sits at distance 1 from every query, and as a query it has
-    no distances (``answered`` is False) and abstains.
+    Row j is computed the first time it is asked for: row ``slot[j]`` of
+    ``store`` holds the distances from every row of ``features`` (the
+    columns) to row j, by the per-query routine of ``classify`` with row j
+    as the query. That routine is symmetric to the bit, so row j also holds
+    each query's distance to reference j. Under cosine a zero-norm row sits
+    at distance 1 from every query and, as a query, abstains (``answered``).
     """
 
-    def __init__(self, trials: list[LabeledTrial], cfg: LoopConfig) -> None:
-        self.features = np.stack([preprocess(t.trace, cfg.preprocess).values for t in trials])
-        self.norms = _reference_norms(self.features)
-        self.metric = cfg.metric
-        self.row_of = {trial.id: i for i, trial in enumerate(trials)}
+    def __init__(self, features: np.ndarray, metric: Metric) -> None:
+        self.features = features
+        self.norms = _reference_norms(features)
+        self.metric = metric
         # The zero-norm rule of _batch_distances, for every query at once.
-        zero = np.linalg.norm(self.features, axis=1) == 0.0
-        self.answered = ~zero if cfg.metric.kind == "cosine" else np.ones(len(trials), dtype=bool)
-        self.slot = np.full(len(trials), -1)
-        self.store = np.empty((0, len(trials)))
+        zero = np.linalg.norm(features, axis=1) == 0.0
+        self.answered = ~zero if metric.kind == "cosine" else np.ones(len(features), dtype=bool)
+        self.slot = np.full(len(features), -1)
+        self.store = np.empty((0, len(features)))
         self.n_rows = 0
 
-    def between(self, queries: list[int], snapshot: np.ndarray) -> np.ndarray:
-        """Distances from each snapshot entry (rows) to each query (columns)."""
-        missing = snapshot[self.slot[snapshot] < 0]
+    def between(self, columns, rows: np.ndarray) -> np.ndarray:
+        """The stored ``rows`` (computed if missing), restricted to ``columns``."""
+        missing = rows[self.slot[rows] < 0]
         need = self.n_rows + len(missing)
         if need > len(self.store):
             n = len(self.slot)
-            limit = max(_STORE_BYTES // (8 * n), len(snapshot))  # rows the store may hold
-            if need > limit:  # full: forget every row, keep this snapshot's
+            limit = max(_STORE_BYTES // (8 * n), len(rows))  # rows the store may hold
+            if need > limit:  # full: forget every row, keep the asked-for ones
                 self.slot[:] = -1
-                self.n_rows, missing, need = 0, snapshot, len(snapshot)
+                self.n_rows, missing, need = 0, rows, len(rows)
             if need > len(self.store):  # grow by doubling, up to the limit
                 grown = np.empty((min(n, limit, max(2 * len(self.store), need, 64)), n))
                 grown[: self.n_rows] = self.store[: self.n_rows]
@@ -186,15 +184,17 @@ class _Distances:
             self.store[self.n_rows] = 1.0 if row is None else row
             self.slot[j] = self.n_rows
             self.n_rows += 1
-        return self.store[np.ix_(self.slot[snapshot], queries)]
+        return self.store[np.ix_(self.slot[rows], columns)]
 
 
-def _distances(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict) -> _Distances:
-    """The cached distances for ``cfg`` if they cover ``trials``, else new ones."""
+def _distances(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
+    """The cached id-to-row map and distances for ``cfg``; new ones if the map lacks a trial."""
     key = (cfg.metric, cfg.preprocess)
     entry = cache.get(key)
-    if entry is None or not all(trial.id in entry.row_of for trial in trials):
-        entry = cache[key] = _Distances(trials, cfg)
+    if entry is None or not all(trial.id in entry[0] for trial in trials):
+        features = np.stack([preprocess(t.trace, cfg.preprocess).values for t in trials])
+        row_of = {trial.id: i for i, trial in enumerate(trials)}
+        entry = cache[key] = row_of, _Distances(features, cfg.metric)
     return entry
 
 
@@ -228,17 +228,17 @@ def run_online(
         raise ValueError(
             f"stream of {len(trials)} trials is too short for seed_size {cfg.seed_size}"
         )
-    present = {trial.truth for trial in trials}
-    if present != {Label.POSITIVE, Label.NEGATIVE}:
+    positive = np.array([trial.truth is Label.POSITIVE for trial in trials])
+    if positive.all() or not positive.any():
         raise ValueError("trial stream must contain both classes")
     if len({trial.id for trial in trials}) != len(trials):
         raise ValueError("trial ids must be unique")  # the distance rows key on them
 
-    distances = _distances(trials, cfg, {} if feature_cache is None else feature_cache)
-    rows = [distances.row_of[trial.id] for trial in trials]
+    row_of, distances = _distances(trials, cfg, {} if feature_cache is None else feature_cache)
+    rows = [row_of[trial.id] for trial in trials]
     # The oracle is exact, so a dataset entry's label is its trial's truth.
-    row_positive = np.zeros(len(distances.slot), dtype=bool)
-    row_positive[rows] = [trial.truth is Label.POSITIVE for trial in trials]
+    row_positive = np.zeros(len(row_of), dtype=bool)
+    row_positive[rows] = positive
     records: list[TrialRecord] = []
     # The dataset's trial indices in insertion order. The oracle is asked once
     # per seed and fallback trial, and only those trials join.
