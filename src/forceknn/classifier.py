@@ -68,7 +68,7 @@ class Decision(Enum):
 
 @dataclass(frozen=True)
 class Metric:
-    """Distance metric; Minkowski carries an explicit exponent p > 0."""
+    """Distance metric; Minkowski carries an explicit finite exponent p > 0."""
 
     kind: str
     p: float | None = None
@@ -79,8 +79,8 @@ class Metric:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.kind == "minkowski":
-            if self.p is None or not self.p > 0:
-                raise ValueError("minkowski requires an explicit exponent p > 0")
+            if self.p is None or not 0 < self.p < math.inf:
+                raise ValueError("minkowski requires an explicit finite exponent p > 0")
         elif self.p is not None:
             raise ValueError(f"{self.kind} does not take an exponent")
 

@@ -1,10 +1,11 @@
 """Plain-text dataset files holding labelled force traces.
 
 Layout: one metadata header row ``id,label,<n_samples>,<sample_rate>``
-followed by one row per trial: id, ``pos``/``neg``, then exactly
-``n_samples`` force values in newtons. UTF-8, LF line endings, ``.``
-decimal separator. Values are written with shortest round-trip ``repr``,
-so write-then-read reproduces traces bit for bit.
+(n_samples >= 0, a finite sample_rate > 0) followed by one row per trial:
+id, ``pos``/``neg``, then exactly ``n_samples`` force values in newtons.
+UTF-8, LF line endings, ``.`` decimal separator. Values are written with
+shortest round-trip ``repr``, so write-then-read reproduces traces bit for
+bit.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def write_dataset(
     else:
         n_samples = 0 if n_samples is None else int(n_samples)
         sample_rate = 500.0 if sample_rate is None else float(sample_rate)
+        if n_samples < 0 or not 0 < sample_rate < np.inf:
+            raise ValueError("an empty dataset needs n_samples >= 0 and a finite sample_rate > 0")
 
     def lines() -> Iterator[str]:
         yield f"id,label,{n_samples},{float(sample_rate)!r}\n"
@@ -112,6 +115,10 @@ def read_dataset(path: str | Path) -> list[LabeledTrial]:
         sample_rate = float(header[3])
     except ValueError:
         raise _fail(1, f"bad n_samples/sample_rate in header {lines[0]!r}") from None
+    if n_samples < 0:
+        raise _fail(1, f"n_samples must be >= 0, got {n_samples}")
+    if not 0 < sample_rate < np.inf:
+        raise _fail(1, f"sample_rate must be positive and finite, got {header[3]!r}")
 
     trials: list[LabeledTrial] = []
     seen_ids: set[str] = set()

@@ -3,7 +3,9 @@
 Static mode works on fixed splits: hold out a test share at the 604:100
 ratio, subsample the remaining pool down to each training fraction,
 classify the test split and average per-cell statistics over shuffle seeds.
-Online mode replays the growing-dataset loop per (k, metric, l) cell.
+It ranks through the online replay's distance store: one per metric, shared
+by every seed, so one is alive at a time; each seed reads its test trials'
+rows. Online mode replays the growing-dataset loop per (k, metric, l) cell.
 
 Cells that cannot run (training set smaller than k, or a loop config whose
 seed phase cannot cover k) are emitted as explicit ``infeasible`` rows.
@@ -146,7 +148,6 @@ def static_grid(
 
     stats: dict[tuple[int, int, float, float], _CellStats] = {}
     for metric_i, metric in enumerate(grid.metrics):
-        # The replay's distance store; one per metric, shared by every seed.
         distances = _Distances(features, metric)
         for seed in seeds:
             order = np.random.default_rng(seed).permutation(n)

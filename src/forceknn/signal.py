@@ -45,8 +45,8 @@ class ForceTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", _as_finite_1d(self.samples, "trace"))
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError("sample_rate must be positive and finite")
 
     def __len__(self) -> int:
         return int(self.samples.size)

@@ -142,6 +142,14 @@ class TestMetric:
         with pytest.raises(ValueError):
             Metric("chebyshev")
 
+    def test_minkowski_rejects_non_finite_p(self):
+        # p = inf would put every pair at distance 1.0, a tie across the board
+        for p in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Metric("minkowski", p)
+        with pytest.raises(ValueError, match="finite"):
+            Metric.parse("minkowski:inf")
+
     def test_parse_round_trip(self):
         for text in ["cosine", "euclidean", "manhattan", "minkowski:3", "minkowski:2.5"]:
             assert str(Metric.parse(text)) == text

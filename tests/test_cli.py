@@ -262,6 +262,21 @@ class TestConfigFileAndExitCodes:
         assert code == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
 
+    def test_header_defect_is_data_error_on_line_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,label,2,inf\nx,pos,1.0,2.0\n", encoding="utf-8")
+        code = main(["online", "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert "line 1: sample_rate" in capsys.readouterr().err
+
+    def test_non_finite_minkowski_exponent_is_usage_error(self, tmp_path, dataset, capsys):
+        out = tmp_path / "grid.csv"
+        code = main(["grid", "--dataset", str(dataset), "--out", str(out),
+                     "--metric", "minkowski:inf"])
+        assert code == EXIT_USAGE
+        capsys.readouterr()
+        assert not out.exists()
+
     def test_infeasible_config_exit_code(self, tmp_path, dataset, capsys):
         code = main(
             ["online", "--dataset", str(dataset), "--out", str(tmp_path / "o"),

@@ -53,6 +53,13 @@ class TestRoundTrip:
         assert path.read_text(encoding="utf-8") == "id,label,1000,500.0\n"
         assert read_dataset(path) == []
 
+    @pytest.mark.parametrize("n_samples, sample_rate", [(-1, 500.0), (3, 0.0), (3, np.inf)])
+    def test_unreadable_empty_header_rejected(self, tmp_path, n_samples, sample_rate):
+        path = tmp_path / "empty.csv"
+        with pytest.raises(ValueError, match="empty dataset"):
+            write_dataset(path, [], n_samples=n_samples, sample_rate=sample_rate)
+        assert not path.exists()
+
     def test_lf_line_endings_and_layout(self, tmp_path):
         path = tmp_path / "data.csv"
         write_dataset(path, awkward_trials())
@@ -174,6 +181,21 @@ class TestMalformedFiles:
     def test_bad_header_metadata(self, tmp_path):
         path = self.write(tmp_path, "id,label,three,500.0\n")
         with pytest.raises(DatasetFormatError, match="line 1"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "header, field",
+        [
+            ("id,label,3,-5", "sample_rate"),
+            ("id,label,3,0", "sample_rate"),
+            ("id,label,3,nan", "sample_rate"),
+            ("id,label,3,inf", "sample_rate"),
+            ("id,label,-1,500.0", "n_samples"),
+        ],
+    )
+    def test_header_defects_reported_on_line_1(self, tmp_path, header, field):
+        path = self.write(tmp_path, f"{header}\nx,pos,1.0,2.0,3.0\n")
+        with pytest.raises(DatasetFormatError, match=f"^line 1: {field} must be"):
             read_dataset(path)
 
     def test_wrong_row_width(self, tmp_path):

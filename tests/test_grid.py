@@ -194,7 +194,9 @@ def static_cases(draw):
     )
     labels = st.sampled_from(Label)
     sources = draw(st.lists(st.integers(0, 3), max_size=16))
-    copies = [LabeledTrial(f"copy{i}", trials[j].trace, draw(labels)) for i, j in enumerate(sources)]
+    copies = [
+        LabeledTrial(f"copy{i}", trials[j].trace, draw(labels)) for i, j in enumerate(sources)
+    ]
     flat = ForceTrace(np.zeros(len(trials[0].trace)), trials[0].trace.sample_rate)
     zeros = [LabeledTrial(f"zero{i}", flat, draw(labels)) for i in range(draw(st.integers(0, 3)))]
     pool = trials + copies + zeros
@@ -202,7 +204,9 @@ def static_cases(draw):
     metrics = [COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0)]
     grid = GridSpec(
         k_values=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2, unique=True))),
-        metrics=tuple(draw(st.lists(st.sampled_from(metrics), min_size=1, max_size=2, unique=True))),
+        metrics=tuple(
+            draw(st.lists(st.sampled_from(metrics), min_size=1, max_size=2, unique=True))
+        ),
         l_values=tuple(draw(st.lists(st.floats(50.0, 100.0), min_size=1, max_size=2, unique=True))),
         train_fractions=tuple(
             draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2, unique=True))

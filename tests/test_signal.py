@@ -105,6 +105,11 @@ class TestForceTrace:
         with pytest.raises(ValueError):
             ForceTrace(np.ones(4), sample_rate=0.0)
 
+    def test_rejects_non_finite_sample_rate(self):
+        for rate in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ForceTrace(np.ones(4), sample_rate=rate)
+
     def test_duration(self):
         assert ForceTrace(np.ones(1000), 500.0).duration == pytest.approx(2.0)
 
