@@ -167,8 +167,9 @@ def static_grid(
                     neighbor_pos = is_pos[pool_idx[:train_size]][ranked[:, :k]]
                     n_pos = neighbor_pos.sum(axis=1)
                     for l_value in grid.l_values:
-                        votes = _vote(n_pos, k, min_agreeing_count(k, l_value))
-                        decided_pos, decided_neg = (mask & answered for mask in votes)
+                        decided_pos, decided_neg = _vote(n_pos, k, min_agreeing_count(k, l_value))
+                        decided_pos &= answered
+                        decided_neg &= answered
                         uncertain = int((~(decided_pos | decided_neg)).sum())
                         tp = int((decided_pos & truth_pos).sum())
                         fp = int((decided_pos & ~truth_pos).sum())
