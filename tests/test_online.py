@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -364,3 +365,25 @@ class TestBatchedReplayMatchesReference:
                 report.final_dataset_size,
                 report.oracle_calls,
             ) == reference_run(shuffled, cfg)
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=replay_cases(), n_runs=st.integers(1, 5), base_seed=st.integers(0, 2**32))
+    def test_every_replicated_run_matches_reference_record_by_record(
+        self, case, n_runs, base_seed
+    ):
+        stream, cfg = case
+        cfg = dataclasses.replace(cfg, n_runs=n_runs)
+        reports = run_replicated(stream, cfg, base_seed)
+        assert len(reports) == n_runs
+        for run_index, report in enumerate(reports):
+            order = np.random.default_rng(_run_seed(base_seed, run_index)).permutation(len(stream))
+            records, size, calls = reference_run([stream[j] for j in order], cfg)
+            assert len(report.records) == len(records)
+            for i, want in enumerate(records):
+                assert report.records[i] == want
+                assert report.records[i - len(records)] == want
+            assert list(report.records) == list(records)
+            assert report.seed_count == sum(r.phase is Phase.SEED for r in records)
+            assert report.fallback_count == sum(r.phase is Phase.FALLBACK for r in records)
+            assert report.verified_count == sum(r.verified for r in records) == calls
+            assert (report.final_dataset_size, report.oracle_calls) == (size, calls)

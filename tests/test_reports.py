@@ -9,7 +9,15 @@ import pytest
 
 from forceknn.datagen import gen_dataset
 from forceknn.metrics import TimeModel, cycle_time, sliding_window_series, summarize_runs
-from forceknn.online import LoopConfig, run_replicated
+from forceknn.classifier import Label
+from forceknn.online import (
+    LabeledTrial,
+    LoopConfig,
+    Phase,
+    RunReport,
+    TrialRecord,
+    run_replicated,
+)
 from forceknn.reports import (
     aggregate_window_series,
     config_echo,
@@ -113,6 +121,50 @@ class TestWriters:
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
         write_records_jsonl(path, [])
         assert path.read_bytes() == b""
+
+    def test_jsonl_equals_per_record_reference(self, tmp_path):
+        # replayed trials whose ids need JSON escaping, so every id repeats in
+        # each run, next to a report built from a tuple of records
+        odd_ids = ['q"uote', "back\\slash", "caf\u00e9", "\u2603", "nl\nid", "plain"]
+        trials = [
+            LabeledTrial(f"{odd_ids[i % len(odd_ids)]}-{i}", trial.trace, trial.truth)
+            for i, trial in enumerate(gen_dataset(12, 14, rng_seed=8))
+        ]
+        replayed = run_replicated(trials, LoopConfig(l_value=80.0, n_runs=3), base_seed=4)
+        built = RunReport(
+            records=(
+                TrialRecord('"', Label.POSITIVE, Label.POSITIVE, Phase.SEED),
+                TrialRecord("\\", Label.NEGATIVE, Label.POSITIVE, Phase.CLASSIFIED),
+                TrialRecord("\u00fc", Label.NEGATIVE, Label.NEGATIVE, Phase.FALLBACK),
+                TrialRecord("x", Label.POSITIVE, Label.NEGATIVE, Phase.CLASSIFIED),
+            ),
+            final_dataset_size=2,
+            config=LoopConfig(n_runs=1),
+            rng_seed=2**63 + 5,
+            oracle_calls=2,
+        )
+        reports = [*replayed, built, replayed[0]]
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl(path, reports)
+        expected = "".join(
+            json.dumps(
+                {
+                    "run": run,
+                    "run_seed": report.rng_seed,
+                    "trial_id": record.trial_id,
+                    "phase": record.phase.value,
+                    "decision": record.decision.value,
+                    "verified": record.verified,
+                    "predicted": record.predicted.value,
+                    "truth": record.truth.value,
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for run, report in enumerate(reports)
+            for record in report.records
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_summary_csv_has_echo_and_rows(self, tmp_path, reports):
         row = summarize_runs(reports)
