@@ -199,7 +199,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         param_overrides["outlier_probability"] = opts["outlier_prob"]
     if opts["outlier_scale"] is not None:
         param_overrides["outlier_scale"] = opts["outlier_scale"]
-    params = GenParams(**param_overrides)
+    try:
+        params = GenParams(**param_overrides)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     trials = gen_dataset(opts["n_pos"], opts["n_neg"], params, opts["rng_seed"])
     write_dataset(
         args.out,
@@ -286,16 +289,19 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     opts = _resolve(args, _GRID_SPEC)
-    trials = read_dataset(args.dataset)
     defaults = GridSpec()
-    grid = GridSpec(
-        k_values=tuple(opts["k"]) if opts["k"] else defaults.k_values,
-        metrics=tuple(opts["metric"]) if opts["metric"] else defaults.metrics,
-        l_values=tuple(opts["l_value"]) if opts["l_value"] else defaults.l_values,
-        train_fractions=tuple(opts["train_fraction"])
-        if opts["train_fraction"]
-        else defaults.train_fractions,
-    )
+    try:
+        grid = GridSpec(
+            k_values=tuple(opts["k"]) if opts["k"] else defaults.k_values,
+            metrics=tuple(opts["metric"]) if opts["metric"] else defaults.metrics,
+            l_values=tuple(opts["l_value"]) if opts["l_value"] else defaults.l_values,
+            train_fractions=tuple(opts["train_fraction"])
+            if opts["train_fraction"]
+            else defaults.train_fractions,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    trials = read_dataset(args.dataset)
     rows: list[GridRow]
     if args.mode == "static":
         seeds = [opts["rng_seed"] + i for i in range(opts["static_seeds"])]

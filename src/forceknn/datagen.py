@@ -12,6 +12,7 @@ them well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,8 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
         if self.contact_time_mean < 0 or self.contact_time_jitter < 0:
             raise ValueError("contact time parameters must be non-negative")
         if self.ramp_duration <= 0 or self.relax_duration <= 0:

@@ -62,6 +62,10 @@ class GridSpec:
                 min_agreeing_count(k, l_value)  # validates k and l_value
         if any(not 0.0 < f <= 1.0 for f in self.train_fractions):
             raise ValueError("train fractions must lie in (0, 1]")
+        for axis in dataclasses.fields(self):
+            values = getattr(self, axis.name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{axis.name} repeats a value: {', '.join(map(str, values))}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,11 @@ def static_grid(
     test_size = max(1, round(n * _TEST_SHARE))
     pool_size = n - test_size
 
+    thresholds = {
+        (k, l_value): min_agreeing_count(k, l_value)
+        for k in grid.k_values
+        for l_value in grid.l_values
+    }
     stats: dict[tuple[int, int, float, float], _CellStats] = {}
     for metric_i, metric in enumerate(grid.metrics):
         distances = _Distances(features, metric)
@@ -167,7 +176,7 @@ def static_grid(
                     neighbor_pos = is_pos[pool_idx[:train_size]][ranked[:, :k]]
                     n_pos = neighbor_pos.sum(axis=1)
                     for l_value in grid.l_values:
-                        decided_pos, decided_neg = _vote(n_pos, k, min_agreeing_count(k, l_value))
+                        decided_pos, decided_neg = _vote(n_pos, k, thresholds[k, l_value])
                         decided_pos &= answered
                         decided_neg &= answered
                         uncertain = int((~(decided_pos | decided_neg)).sum())

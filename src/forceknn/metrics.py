@@ -8,8 +8,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .classifier import Label
-from .online import Phase, RunReport, TrialRecord
+from .online import RecordColumns, RunReport, TrialRecord
 
 __all__ = [
     "ConfusionMode",
@@ -87,21 +86,12 @@ def confusion(
     """Tally records into confusion cells against ground truth."""
     if not records:
         raise ValueError("no records to tally")
-    tp = fp = tn = fn = uncertain = 0
-    for record in records:
-        if mode is ConfusionMode.CLASSIFIER_ONLY and record.phase is not Phase.CLASSIFIED:
-            uncertain += 1
-            continue
-        if record.predicted is Label.POSITIVE:
-            if record.truth is Label.POSITIVE:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if record.truth is Label.NEGATIVE:
-                tn += 1
-            else:
-                fn += 1
+    columns = RecordColumns.of(records)
+    # Cell codes: 0 tn, 1 fn, 2 fp, 3 tp (2 * predicted + truth), 4 uncertain.
+    cells = 2 * columns.predicted + columns.truth
+    if mode is ConfusionMode.CLASSIFIER_ONLY:
+        cells[columns.verified] = 4
+    tn, fn, fp, tp, uncertain = np.bincount(cells, minlength=5).tolist()
     return ConfusionCounts(tp, fp, tn, fn, uncertain)
 
 
@@ -125,7 +115,10 @@ class WindowCost(NamedTuple):
 
 
 def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
-    """Sums over each trailing window of ``values`` (none if shorter), in its dtype."""
+    """Sums over each trailing window of ``values`` (none if shorter), in its dtype.
+
+    Booleans are summed as integers.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
     cum = np.concatenate(([0], np.cumsum(values)))
@@ -136,18 +129,15 @@ def _window_counts(
     records: Sequence[TrialRecord], window: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classifier true and false positives, and verified trials, per trailing window."""
-    classified, pred_pos, truth_pos = np.array(
-        [(r.phase is Phase.CLASSIFIED, r.predicted is Label.POSITIVE, r.truth is Label.POSITIVE)
-         for r in records],
-        dtype=np.int64,
-    ).reshape(-1, 3).T
-    tp = _window_sums(classified * pred_pos * truth_pos, window)
-    fp = _window_sums(classified * pred_pos * (1 - truth_pos), window)
-    return tp, fp, _window_sums(1 - classified, window)
+    columns = RecordColumns.of(records)
+    classified_pos = ~columns.verified & columns.predicted
+    tp = _window_sums(classified_pos & columns.truth, window)
+    fp = _window_sums(classified_pos & ~columns.truth, window)
+    return tp, fp, _window_sums(columns.verified, window)
 
 
 def _costs(records: Sequence[TrialRecord], tm: TimeModel) -> np.ndarray:
-    verified = np.fromiter((r.verified for r in records), dtype=bool, count=len(records))
+    verified = RecordColumns.of(records).verified
     return np.where(verified, tm.iteration_cost, tm.iteration_cost - tm.verification_cost)
 
 

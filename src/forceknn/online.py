@@ -12,6 +12,7 @@ classifications between refreshes deliberately use a stale snapshot.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +29,7 @@ __all__ = [
     "LoopConfig",
     "Phase",
     "TrialRecord",
+    "RecordColumns",
     "RunReport",
     "run_online",
     "run_replicated",
@@ -114,27 +116,107 @@ class LoopConfig:
             raise ValueError("n_runs must be >= 1")
 
 
+# Phase codes of RecordColumns.phase: code i is _PHASES[i].
+_PHASES = (Phase.SEED, Phase.CLASSIFIED, Phase.FALLBACK)
+_SEED, _CLASSIFIED, _FALLBACK = range(3)
+_LABELS = (Label.NEGATIVE, Label.POSITIVE)  # indexed by a positive flag
+
+
+class RecordColumns(Sequence):
+    """One run's trial records, stored as columns and read as ``TrialRecord`` objects.
+
+    ``ids`` is the stream's trial ids; ``phase`` holds phase codes (0 seed,
+    1 classified, 2 fallback) and ``predicted``/``truth`` positive flags, all
+    read-only arrays. Record i is built on access. Indexing, slicing (which
+    gives columns) and iteration behave as on a tuple of the records, and
+    the columns equal another ``RecordColumns`` or a tuple holding the same
+    records.
+    """
+
+    __slots__ = ("ids", "phase", "predicted", "truth")
+
+    def __init__(self, ids, phase, predicted, truth) -> None:
+        self.ids = tuple(ids)
+        self.phase = np.asarray(phase, dtype=np.int8)
+        self.predicted = np.asarray(predicted, dtype=bool)
+        self.truth = np.asarray(truth, dtype=bool)
+        for column in (self.phase, self.predicted, self.truth):
+            if column.shape != (len(self.ids),):
+                raise ValueError("record columns must be 1-d and of equal length")
+            column.flags.writeable = False
+
+    @classmethod
+    def of(cls, records: Sequence[TrialRecord]) -> RecordColumns:
+        """``records`` as columns: converted once, or passed through if already columns."""
+        if isinstance(records, cls):
+            return records
+        return cls(
+            [r.trial_id for r in records],
+            [_PHASES.index(r.phase) for r in records],
+            [_LABELS.index(r.predicted) for r in records],
+            [_LABELS.index(r.truth) for r in records],
+        )
+
+    @property
+    def verified(self) -> np.ndarray:
+        """Per record: whether the oracle labelled it (a seed or fallback trial)."""
+        return self.phase != _CLASSIFIED
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordColumns(
+                self.ids[index], self.phase[index], self.predicted[index], self.truth[index]
+            )
+        i = range(len(self.ids))[index]  # IndexError and negative indices as on a tuple
+        return TrialRecord(
+            self.ids[i],
+            _LABELS[self.predicted.item(i)],
+            _LABELS[self.truth.item(i)],
+            _PHASES[self.phase.item(i)],
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (RecordColumns, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class RunReport:
-    """Per-trial records and dataset accounting for one run."""
+    """One run's trial records and dataset accounting.
 
-    records: tuple[TrialRecord, ...]
+    ``records`` is stored as ``RecordColumns``: per-run arrays of phase
+    codes and predicted and true positive flags beside the trial ids, which
+    metrics and the JSON-lines writer read directly. Any other sequence of
+    ``TrialRecord`` objects passed in is converted once.
+    """
+
+    records: RecordColumns
     final_dataset_size: int
     config: LoopConfig
     rng_seed: int
     oracle_calls: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", RecordColumns.of(self.records))
+
     @property
     def seed_count(self) -> int:
-        return sum(1 for r in self.records if r.phase is Phase.SEED)
+        return int(np.count_nonzero(self.records.phase == _SEED))
 
     @property
     def fallback_count(self) -> int:
-        return sum(1 for r in self.records if r.phase is Phase.FALLBACK)
+        return int(np.count_nonzero(self.records.phase == _FALLBACK))
 
     @property
     def verified_count(self) -> int:
-        return sum(1 for r in self.records if r.verified)
+        return int(np.count_nonzero(self.records.verified))
 
 
 # The most a distance store holds: 1 GiB, or 2**27 / n rows of n distances.
@@ -211,7 +293,8 @@ def run_online(
     report (it identifies the shuffle that produced the stream order).
     Between refreshes the snapshot is frozen, so each block of up to
     ``retrain_interval`` queries is ranked and voted on in one step, over
-    stored rows of distances from each snapshot entry to every trial.
+    stored rows of distances from each snapshot entry to every trial. Its
+    verdicts land in the report's record columns by slice assignment.
 
     ``feature_cache`` memoises those rows, with the preprocessed features,
     under ``(cfg.metric, cfg.preprocess)``; share it across runs over the
@@ -231,32 +314,31 @@ def run_online(
     positive = np.array([trial.truth is Label.POSITIVE for trial in trials])
     if positive.all() or not positive.any():
         raise ValueError("trial stream must contain both classes")
-    if len({trial.id for trial in trials}) != len(trials):
+    ids = tuple(trial.id for trial in trials)
+    if len(set(ids)) != len(ids):
         raise ValueError("trial ids must be unique")  # the distance rows key on them
 
     row_of, distances = _distances(trials, cfg, {} if feature_cache is None else feature_cache)
-    rows = [row_of[trial.id] for trial in trials]
+    rows = np.array([row_of[trial_id] for trial_id in ids])
     # The oracle is exact, so a dataset entry's label is its trial's truth.
     row_positive = np.zeros(len(row_of), dtype=bool)
     row_positive[rows] = positive
-    records: list[TrialRecord] = []
-    # The dataset's trial indices in insertion order. The oracle is asked once
-    # per seed and fallback trial, and only those trials join.
-    dataset: list[int] = []
 
     # Seed phase: oracle-label from the stream head until both the size and
     # the positive quota are met; a shortfall of positives extends the phase.
     positive_quota = math.ceil(cfg.seed_size * cfg.seed_min_positive_fraction)
-    n_positive = 0
-    consumed = 0
-    while consumed < len(trials) and (len(dataset) < cfg.seed_size or n_positive < positive_quota):
-        trial = trials[consumed]
-        dataset.append(rows[consumed])
-        n_positive += trial.truth is Label.POSITIVE
-        records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.SEED))
-        consumed += 1
-    if len(dataset) < cfg.seed_size or n_positive < positive_quota:
+    met = (np.arange(1, len(trials) + 1) >= cfg.seed_size) & (
+        np.cumsum(positive) >= positive_quota
+    )
+    if not met.any():
         raise ValueError("stream exhausted before the seed phase completed")
+    consumed = int(met.argmax()) + 1
+    # The dataset's rows in insertion order. The oracle is asked once per seed
+    # and fallback trial, and only those trials join, labelled by the truth.
+    dataset = rows[:consumed].tolist()
+    phase = np.full(len(trials), _CLASSIFIED, dtype=np.int8)
+    phase[:consumed] = _SEED
+    predicted = positive.copy()
 
     # Each block sees the snapshot taken at its start. The seed phase holds at
     # least seed_size >= k entries, so every snapshot has k neighbours to rank.
@@ -267,19 +349,14 @@ def run_online(
         snapshot = np.array(dataset)
         ranked = np.argsort(distances.between(block, snapshot), axis=0, kind="stable")
         n_pos = row_positive[snapshot][ranked[: cfg.k]].sum(axis=0)
-        positive, negative = _vote(n_pos, cfg.k, threshold)
-        answered = distances.answered[block]
-        verdicts = zip(block, (positive & answered).tolist(), (negative & answered).tolist())
-        for trial, (row, is_pos, is_neg) in zip(trials[start:stop], verdicts):
-            if is_pos or is_neg:
-                predicted = Label.POSITIVE if is_pos else Label.NEGATIVE
-                records.append(TrialRecord(trial.id, predicted, trial.truth, Phase.CLASSIFIED))
-            else:
-                dataset.append(row)
-                records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.FALLBACK))
+        is_pos, is_neg = _vote(n_pos, cfg.k, threshold)
+        committed = (is_pos | is_neg) & distances.answered[block]
+        predicted[start:stop][committed] = is_pos[committed]
+        phase[start:stop][~committed] = _FALLBACK
+        dataset.extend(block[~committed].tolist())
 
     return RunReport(
-        records=tuple(records),
+        records=RecordColumns(ids, phase, predicted, positive),
         final_dataset_size=len(dataset),
         config=cfg,
         rng_seed=cfg.rng_seed if rng_seed is None else rng_seed,

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 from .dataset_io import _write_text_atomic
 from .grid import GridRow
 from .metrics import SummaryRow, TimeModel, _costs, _window_counts, _window_sums
-from .online import RunReport
+from .online import RecordColumns, RunReport
 
 __all__ = [
     "WindowAggregate",
@@ -115,30 +116,50 @@ def _write_csv(
     _write_text_atomic(path, (buf.getvalue(),))
 
 
-_RECORD_LINE = (
+# A records line is head + JSON-quoted trial id + tail. The 12 kinds of record
+# are listed in the order of their code, 4 * phase + 2 * predicted + truth.
+_RECORD_HEAD = (
     '{"decision": "%s", "phase": "%s", "predicted": "%s", "run": %d, "run_seed": %d, '
-    '"trial_id": %s, "truth": "%s", "verified": %s}\n'
+    '"trial_id": '
 )
+_RECORD_TAIL = ', "truth": "%s", "verified": %s}\n'
+_CODES = np.arange(12)
+_KINDS = tuple(RecordColumns([""] * 12, _CODES // 4, _CODES // 2 % 2, _CODES % 2))
 
 
 def write_records_jsonl(path: str | Path, reports: Sequence[RunReport]) -> None:
     """One JSON object per processed trial, across all runs in order.
 
     Each line is ``json.dumps(payload, sort_keys=True)`` of the record's
-    fields, filled into a fixed template: only the trial id needs escaping,
-    every other value is a number, a boolean or a fixed enum value.
+    fields, built from the run's columns rather than ``TrialRecord`` objects.
+    The trial id is the only value that needs escaping, so ``json.dumps``
+    runs once per distinct id. Every other value is fixed by the record's
+    (phase, predicted, truth) kind and the run, so each run fills one head
+    and one tail template per kind, and is written as one join of head,
+    quoted id and tail per record.
     """
+    quoted: dict[str, str] = {}
 
-    def lines() -> Iterator[str]:
+    def runs() -> Iterator[str]:
         for run_index, report in enumerate(reports):
-            for r in report.records:
-                verified = "true" if r.verified else "false"
-                yield _RECORD_LINE % (
-                    r.decision.value, r.phase.value, r.predicted.value, run_index,
-                    report.rng_seed, json.dumps(r.trial_id), r.truth.value, verified,
+            columns = report.records
+            new_ids = set(columns.ids).difference(quoted)
+            quoted.update(zip(new_ids, map(json.dumps, new_ids)))
+            heads = [
+                _RECORD_HEAD % (
+                    r.decision.value, r.phase.value, r.predicted.value, run_index, report.rng_seed
                 )
+                for r in _KINDS
+            ]
+            tails = [_RECORD_TAIL % (r.truth.value, json.dumps(r.verified)) for r in _KINDS]
+            kinds = (4 * columns.phase + 2 * columns.predicted + columns.truth).tolist()
+            yield "".join(chain.from_iterable(zip(
+                map(heads.__getitem__, kinds),
+                map(quoted.__getitem__, columns.ids),
+                map(tails.__getitem__, kinds),
+            )))
 
-    _write_text_atomic(Path(path), lines())
+    _write_text_atomic(Path(path), runs())
 
 
 def write_summary_csv(

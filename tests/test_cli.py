@@ -67,6 +67,15 @@ class TestGen:
         assert code == EXIT_OK
         assert len(read_dataset(path)) == 4
 
+    @pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+    def test_bad_sample_rate_is_usage_error(self, tmp_path, capsys, rate):
+        out = tmp_path / "data.csv"
+        code = main(["gen", "--out", str(out), "--n-pos", "2", "--n-neg", "2",
+                     "--sample-rate", rate])
+        assert code == EXIT_USAGE
+        assert "sample_rate must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generator_knobs_reach_params(self, tmp_path):
         quiet = run_gen(tmp_path, "q.csv", 2, 2, ["--noise-std", "0", "--n-samples", "64"])
         noisy = run_gen(tmp_path, "n.csv", 2, 2, ["--noise-std", "2.5", "--n-samples", "64"])
@@ -190,6 +199,20 @@ class TestGrid:
                     assert a[col] == b[col]
                 else:
                     assert float(a[col]) == pytest.approx(float(b[col]), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "axis",
+        [["--k", "3,3"], ["--metric", "cosine,cosine"], ["--l-value", "50,50"],
+         ["--train-fraction", "1.0,1"]],
+    )
+    def test_repeated_axis_value_is_usage_error_before_reading(self, tmp_path, capsys, axis):
+        out = tmp_path / "grid.csv"
+        # the dataset does not exist: reading it first would exit with EXIT_DATA
+        code = main(["grid", "--dataset", str(tmp_path / "missing.csv"), "--out", str(out),
+                     "--mode", "static", *axis])
+        assert code == EXIT_USAGE
+        assert "repeats a value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_online_mode_with_infeasible_k(self, tmp_path, dataset):
         out = tmp_path / "grid.csv"

@@ -109,6 +109,11 @@ class TestGenParamsValidation:
         with pytest.raises(ValueError):
             ClassProfile(20.0, -1.0, 5.0, 1.0)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_sample_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GenParams(sample_rate=rate)
+
     def test_separability_guard_with_escape_hatch(self):
         overlapping = ClassProfile(22.0, 2.0, 6.0, 1.0)
         with pytest.raises(ValueError, match="min_separation_stds"):

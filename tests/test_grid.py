@@ -68,6 +68,19 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(train_fractions=(1.5,))
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"k_values": (3, 5, 3)},
+            {"metrics": (COSINE, EUCLIDEAN, COSINE)},
+            {"l_values": (50.0, 50)},
+            {"train_fractions": (1.0, 0.5, 1.0)},
+        ],
+    )
+    def test_repeated_axis_value_rejected(self, axes):
+        with pytest.raises(ValueError, match="repeats a value"):
+            GridSpec(**axes)
+
 
 class TestStaticGrid:
     def test_single_cell_matches_classify_oracle(self, trials):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forceknn.classifier import Decision, Label
 from forceknn.metrics import (
@@ -19,7 +23,7 @@ from forceknn.metrics import (
     summarize_runs,
     verification_savings,
 )
-from forceknn.online import LoopConfig, Phase, RunReport, TrialRecord
+from forceknn.online import LoopConfig, Phase, RecordColumns, RunReport, TrialRecord
 
 
 def record(predicted, truth, phase=Phase.CLASSIFIED, index=0):
@@ -291,3 +295,42 @@ class TestSummarizeRuns:
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError):
             summarize_runs([])
+
+
+@st.composite
+def record_tuples(draw):
+    """Records with any (phase, predicted, truth) combination, as a plain tuple."""
+    kinds = st.tuples(st.sampled_from(Label), st.sampled_from(Label), st.sampled_from(Phase))
+    return tuple(
+        TrialRecord(f"t{i}", *kind)
+        for i, kind in enumerate(draw(st.lists(kinds, min_size=1, max_size=60)))
+    )
+
+
+class TestColumnsMatchRecordTuples:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        runs=st.lists(record_tuples(), min_size=1, max_size=4),
+        window=st.integers(1, 25),
+        l_value=st.sampled_from([50.0, 100.0]),
+    )
+    def test_every_metric_agrees(self, runs, window, l_value):
+        tm = TimeModel(45.0, 5.0)
+        for records in runs:
+            columns = RecordColumns.of(records)
+            assert columns == records
+            for mode in ConfusionMode:
+                counts = confusion(columns, mode)
+                assert counts == confusion(records, mode)
+                assert dataclasses.astuple(counts) == tally_oracle(records, mode)
+            assert sliding_window_series(columns, window) == sliding_window_series(
+                records, window
+            )
+            assert cycle_time(columns, tm, window) == cycle_time(records, tm, window)
+        from_tuples = [report_from_records(records, l_value) for records in runs]
+        from_columns = [
+            dataclasses.replace(report, records=RecordColumns.of(records))
+            for report, records in zip(from_tuples, runs)
+        ]
+        for mode in ConfusionMode:
+            assert summarize_runs(from_columns, mode) == summarize_runs(from_tuples, mode)

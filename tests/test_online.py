@@ -27,6 +27,7 @@ from forceknn.online import (
     LabeledTrial,
     LoopConfig,
     Phase,
+    RecordColumns,
     RunReport,
     TrialRecord,
     _run_seed,
@@ -242,6 +243,49 @@ class TestRunOnline:
         trials = small_stream(14, 16, seed=21)
         cfg = LoopConfig(l_value=100.0, n_runs=1)
         assert run_online(trials, cfg) == run_online(trials, cfg)
+
+
+class TestRecordColumns:
+    def test_reads_like_the_tuple_of_its_records(self):
+        trials = small_stream(14, 16, seed=23)
+        report = run_online(trials, LoopConfig(l_value=90.0, n_runs=1))
+        columns = report.records
+        records = tuple(columns)
+        assert isinstance(columns, RecordColumns)
+        assert len(columns) == len(records) == len(trials)
+        assert [r.trial_id for r in records] == [t.id for t in trials]
+        for index in (0, 5, -1, -len(records)):
+            assert columns[index] == records[index]
+        for index in (len(records), -len(records) - 1):
+            with pytest.raises(IndexError):
+                columns[index]
+        for cut in (slice(3, 9), slice(None, None, -2), slice(-4, None), slice(40, 50)):
+            assert columns[cut] == records[cut]
+            assert records[cut] == columns[cut]
+        assert columns == records and records == columns
+        assert columns != records[:-1] and columns[1:] != columns[:-1]
+        assert hash(columns) == hash(records)
+        assert RecordColumns.of(records) == columns
+        assert RecordColumns.of(columns) is columns
+        assert columns.index(records[7]) == 7 and records[7] in columns
+        with pytest.raises(ValueError):
+            columns.phase[0] = 1
+
+    def test_report_built_from_records_converts_them_once(self):
+        records = (
+            TrialRecord("a", Label.POSITIVE, Label.POSITIVE, Phase.SEED),
+            TrialRecord("b", Label.NEGATIVE, Label.POSITIVE, Phase.CLASSIFIED),
+            TrialRecord("c", Label.NEGATIVE, Label.NEGATIVE, Phase.FALLBACK),
+        )
+        report = RunReport(records, 2, LoopConfig(n_runs=1), 0, 2)
+        assert isinstance(report.records, RecordColumns)
+        assert report.records == records
+        assert report.records.phase.tolist() == [0, 1, 2]
+        assert report.records.predicted.tolist() == [True, False, False]
+        assert report.records.truth.tolist() == [True, True, False]
+        assert (report.seed_count, report.fallback_count, report.verified_count) == (1, 1, 2)
+        with pytest.raises(ValueError):
+            RecordColumns(["a", "b"], [0], [True], [True])
 
 
 class TestRunReplicated:
