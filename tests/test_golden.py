@@ -25,6 +25,10 @@ STATIC_ARGV = ["grid", "--dataset", "data.csv", "--out", "static.csv", "--mode",
                "--k", "3,11,31", "--metric", "cosine,euclidean,manhattan,minkowski:3",
                "--l-value", "50,70,100", "--train-fraction", "0.2,1.0", "--static-seeds", "2"]
 
+# Every default axis (840 cells, the k > training size ones infeasible).
+STATIC_DEFAULT_ARGV = ["grid", "--dataset", "data.csv", "--out", "static-default.csv",
+                       "--mode", "static"]
+
 ONLINE_GRID_ARGV = ["grid", "--dataset", "data.csv", "--out", "online.csv", "--mode", "online",
                     "--k", "3,13", "--metric", "cosine,manhattan", "--l-value", "60,100",
                     "--runs", "2", "--seed-size", "12"]
@@ -42,6 +46,8 @@ GOLDEN = {
         "b350bf8787b8f2b127e004d0adee8c3b49abea169f7405ec794528a9bdd73c1f",
     "static.csv":
         "66269e55e99bead8bc01f4c1bf1fde90e536a34201007c36445da61aa9e105ee",
+    "static-default.csv":
+        "6f16892dcd9d3efd3a8e6a7dd9e67209cf98ac3a448133563953822153a1d1c3",
     "online.csv":
         "c203e0367fcb7f5da25a4ce373a2227eca01645d6361bdd9e48a3537ee993662",
 }
@@ -52,7 +58,7 @@ def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
-        for argv in (GEN_ARGV, ONLINE_ARGV, STATIC_ARGV, ONLINE_GRID_ARGV):
+        for argv in (GEN_ARGV, ONLINE_ARGV, STATIC_ARGV, STATIC_DEFAULT_ARGV, ONLINE_GRID_ARGV):
             assert main(argv) == EXIT_OK
     return root
 

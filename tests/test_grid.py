@@ -193,6 +193,72 @@ class TestStaticGrid:
         with pytest.raises(ValueError):
             static_grid(trials[:1])
 
+    def test_tie_group_split_by_a_fraction_boundary(self):
+        # Exact copies with the opposite label tie with their source on every
+        # metric, and all-zero traces tie with each other; the seed puts
+        # members of a tie group on both sides of the two smallest training
+        # prefixes, so each prefix must keep the stable order of its own part.
+        base = gen_dataset(12, 12, rng_seed=5)
+        flip = {Label.POSITIVE: Label.NEGATIVE, Label.NEGATIVE: Label.POSITIVE}
+        copies = [
+            LabeledTrial(f"copy{j}.{c}", base[j].trace, flip[base[j].truth])
+            for j in range(4)
+            for c in range(2)
+        ]
+        flat = ForceTrace(np.zeros(len(base[0].trace)), base[0].trace.sample_rate)
+        zeros = [
+            LabeledTrial(f"zero{i}", flat, (Label.POSITIVE, Label.NEGATIVE)[i % 2])
+            for i in range(4)
+        ]
+        dataset = base + copies + zeros
+        n = len(dataset)
+        copy_groups = [[j, len(base) + 2 * j, len(base) + 2 * j + 1] for j in range(4)]
+        zero_group = list(range(n - len(zeros), n))
+        pool_size = n - max(1, round(n * 100 / 704))
+        grid = GridSpec(k_values=(1, 3, 5))
+        smallest = sorted(round(f * pool_size) for f in grid.train_fractions)[:2]
+
+        def split(group, pool, size):
+            inside = [i in pool[:size] for i in group if i in pool]
+            return any(inside) and not all(inside)
+
+        def splits_ties(seed):
+            pool = list(np.random.default_rng(seed).permutation(n)[:pool_size])
+            return split(zero_group, pool, smallest[0]) and all(
+                any(split(group, pool, size) for group in copy_groups) for size in smallest
+            )
+
+        seed = min(s for s in range(100) if splits_ties(s))
+        rows = static_grid(dataset, grid, seeds=(seed,))
+        assert len(rows) == 3 * 4 * 6 * 7
+        for row in rows:
+            metric = next(m for m in grid.metrics if str(m) == row.metric)
+            tp, fp, tn, fn, unc, n_test = static_cell_oracle(
+                dataset, seed, row.train_fraction, row.k, metric, row.l_value
+            )
+            assert row.status == "ok"
+            assert (row.tp, row.fp, row.tn, row.fn) == (tp, fp, tn, fn)
+            assert row.uncertain_pct == 100.0 * unc / n_test
+
+    def test_unsorted_axes_give_the_sorted_axes_rows(self, trials):
+        axes = dict(metrics=(MANHATTAN, COSINE), train_fractions=(1.0, 0.3))
+        unsorted = GridSpec(k_values=(21, 5, 11), l_values=(90.0, 50.0, 100.0, 70.0), **axes)
+        in_order = GridSpec(k_values=(5, 11, 21), l_values=(50.0, 70.0, 90.0, 100.0), **axes)
+        rows = static_grid(trials, unsorted, seeds=(5,))
+        assert rows == static_grid(trials, in_order, seeds=(5,))
+        assert len(rows) == 3 * 2 * 4 * 2
+        pool_size = len(trials) - max(1, round(len(trials) * 100 / 704))
+        for row in rows:
+            if round(row.train_fraction * pool_size) < row.k:
+                assert row.status == "infeasible"
+                continue
+            metric = next(m for m in axes["metrics"] if str(m) == row.metric)
+            tp, fp, tn, fn, unc, n_test = static_cell_oracle(
+                trials, 5, row.train_fraction, row.k, metric, row.l_value
+            )
+            assert (row.tp, row.fp, row.tn, row.fn) == (tp, fp, tn, fn)
+            assert row.uncertain_pct == 100.0 * unc / n_test
+
 
 @st.composite
 def static_cases(draw):
