@@ -182,7 +182,9 @@ def _vote(n_pos, k: int, threshold: int):
 
     ``n_pos`` counts the positive labels among k neighbours, as an int or an
     int array. A side wins when it holds a strict majority of at least
-    ``threshold`` votes; neither mask is set for an abstention.
+    ``threshold`` votes; neither mask is set for an abstention. An array
+    ``threshold`` broadcasts against ``n_pos``: the static grid passes one
+    row per l-value and gets one row of masks per l-value.
     """
     n_neg = k - n_pos
     return (n_pos > n_neg) & (n_pos >= threshold), (n_neg > n_pos) & (n_neg >= threshold)

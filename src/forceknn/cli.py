@@ -301,6 +301,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    if opts["static_seeds"] < 1:
+        raise _UsageError(f"--static-seeds must be at least 1, got {opts['static_seeds']}")
+    if args.mode == "static" and opts["rng_seed"] < 0:
+        raise _UsageError(f"--rng-seed must be non-negative, got {opts['rng_seed']}")
     trials = read_dataset(args.dataset)
     rows: list[GridRow]
     if args.mode == "static":

@@ -5,7 +5,10 @@ ratio, subsample the remaining pool down to each training fraction,
 classify the test split and average per-cell statistics over shuffle seeds.
 It ranks through the online replay's distance store: one per metric, shared
 by every seed, so one is alive at a time; each seed reads its test trials'
-rows. Online mode replays the growing-dataset loop per (k, metric, l) cell.
+rows. Those rows are sorted once per (metric, seed) over the whole pool;
+each training fraction filters that order down to its prefix, and one vote
+per k decides all l-values at once. Online mode replays the growing-dataset
+loop per (k, metric, l) cell.
 
 Cells that cannot run (training set smaller than k, or a loop config whose
 seed phase cannot cover k) are emitted as explicit ``infeasible`` rows.
@@ -138,10 +141,17 @@ def static_grid(
     Per seed the trials are permuted once; the test split is the trailing
     100/704 share (at least one trial) and each training fraction takes a
     prefix of the remaining pool, so larger fractions extend smaller ones.
+    Each seed's test rows get one stable sort over the whole pool; a
+    fraction keeps the entries below its training size, which is the stable
+    order of its prefix, ties and NaN included. Per (fraction, k) one vote
+    over an (l-values, test trials) mask fills every l-value's cell.
+    Seeds must be non-negative.
     """
     trials = list(trials)
     if not seeds:
         raise ValueError("at least one seed is required")
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds must be non-negative, got {', '.join(map(str, seeds))}")
     if len(trials) < 2:
         raise ValueError("dataset too small to split")
     features = np.stack([preprocess(t.trace, preprocess_cfg).values for t in trials])
@@ -150,43 +160,51 @@ def static_grid(
     test_size = max(1, round(n * _TEST_SHARE))
     pool_size = n - test_size
 
-    thresholds = {
-        (k, l_value): min_agreeing_count(k, l_value)
+    # One column of N_c per k, one row per l-value: a vote over it decides
+    # every l-value of a (fraction, k) at once.
+    thresholds_of = {
+        k: np.array([[min_agreeing_count(k, l_value)] for l_value in grid.l_values])
         for k in grid.k_values
-        for l_value in grid.l_values
     }
-    stats: dict[tuple[int, int, float, float], _CellStats] = {}
+    stats = {
+        (k, metric_i, l_value, fraction): _CellStats()
+        for k in grid.k_values
+        for metric_i in range(len(grid.metrics))
+        for l_value in grid.l_values
+        for fraction in grid.train_fractions
+    }
     for metric_i, metric in enumerate(grid.metrics):
         distances = _Distances(features, metric)
         for seed in seeds:
             order = np.random.default_rng(seed).permutation(n)
             pool_idx, test_idx = order[:pool_size], order[pool_size:]
-            truth_pos = is_pos[test_idx]
+            pool_pos, truth_pos = is_pos[pool_idx], is_pos[test_idx]
             # The test trials' rows: each test trial, as the query, to every pool trial.
             dists = distances.between(pool_idx, test_idx)
             answered = distances.answered[test_idx]
+            # A stable sort keeps equal distances in pool order, so the columns
+            # below m of the full order are the stable order of the first m.
+            full = np.argsort(dists, axis=1, kind="stable")
             for fraction in grid.train_fractions:
                 train_size = round(fraction * pool_size)
-                ranked = np.argsort(dists[:, :train_size], axis=1, kind="stable")
+                ranked = full[full < train_size].reshape(test_size, train_size)
                 for k in grid.k_values:
                     if train_size < k:
-                        for l_value in grid.l_values:
-                            stats.setdefault((k, metric_i, l_value, fraction), _CellStats())
-                        continue
-                    neighbor_pos = is_pos[pool_idx[:train_size]][ranked[:, :k]]
-                    n_pos = neighbor_pos.sum(axis=1)
-                    for l_value in grid.l_values:
-                        decided_pos, decided_neg = _vote(n_pos, k, thresholds[k, l_value])
-                        decided_pos &= answered
-                        decided_neg &= answered
-                        uncertain = int((~(decided_pos | decided_neg)).sum())
-                        tp = int((decided_pos & truth_pos).sum())
-                        fp = int((decided_pos & ~truth_pos).sum())
-                        tn = int((decided_neg & ~truth_pos).sum())
-                        fn = int((decided_neg & truth_pos).sum())
-                        key = (k, metric_i, l_value, fraction)
-                        stats.setdefault(key, _CellStats()).add(
-                            tp, fp, tn, fn, uncertain, len(test_idx)
+                        continue  # never filled: an infeasible row
+                    n_pos = pool_pos[ranked[:, :k]].sum(axis=1)
+                    decided_pos, decided_neg = _vote(n_pos, k, thresholds_of[k])
+                    decided_pos &= answered
+                    decided_neg &= answered
+                    counts = zip(
+                        (decided_pos & truth_pos).sum(axis=1).tolist(),
+                        (decided_pos & ~truth_pos).sum(axis=1).tolist(),
+                        (decided_neg & ~truth_pos).sum(axis=1).tolist(),
+                        (decided_neg & truth_pos).sum(axis=1).tolist(),
+                        (~(decided_pos | decided_neg)).sum(axis=1).tolist(),
+                    )
+                    for l_value, (tp, fp, tn, fn, uncertain) in zip(grid.l_values, counts):
+                        stats[k, metric_i, l_value, fraction].add(
+                            tp, fp, tn, fn, uncertain, test_size
                         )
 
     rows = [

@@ -214,6 +214,24 @@ class TestGrid:
         assert "repeats a value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [(["--static-seeds", "0"], "--static-seeds must be at least 1"),
+         (["--static-seeds", "-2"], "--static-seeds must be at least 1"),
+         (["--rng-seed", "-1"], "--rng-seed must be non-negative")],
+        ids=["no-seeds", "negative-seed-count", "negative-rng-seed"],
+    )
+    def test_bad_static_seeds_are_usage_errors_before_reading(
+        self, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "grid.csv"
+        # the dataset does not exist: reading it first would exit with EXIT_DATA
+        code = main(["grid", "--dataset", str(tmp_path / "missing.csv"), "--out", str(out),
+                     "--mode", "static", *flags])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_online_mode_with_infeasible_k(self, tmp_path, dataset):
         out = tmp_path / "grid.csv"
         code = main(

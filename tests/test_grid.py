@@ -193,6 +193,10 @@ class TestStaticGrid:
         with pytest.raises(ValueError):
             static_grid(trials[:1])
 
+    def test_negative_seed_rejected(self, trials):
+        with pytest.raises(ValueError, match="seeds must be non-negative"):
+            static_grid(trials, seeds=(0, -1))
+
     def test_tie_group_split_by_a_fraction_boundary(self):
         # Exact copies with the opposite label tie with their source on every
         # metric, and all-zero traces tie with each other; the seed puts
