@@ -177,7 +177,7 @@ def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> flo
     return float(_batch_distances(matrix, np.linalg.norm(matrix, axis=1), vb, metric)[0])
 
 
-def _vote(n_pos, k: int, threshold: int):
+def _vote(n_pos, k: int, threshold):
     """Positive and negative masks of the minimum-agreement vote.
 
     ``n_pos`` counts the positive labels among k neighbours, as an int or an

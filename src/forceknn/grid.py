@@ -166,13 +166,7 @@ def static_grid(
         k: np.array([[min_agreeing_count(k, l_value)] for l_value in grid.l_values])
         for k in grid.k_values
     }
-    stats = {
-        (k, metric_i, l_value, fraction): _CellStats()
-        for k in grid.k_values
-        for metric_i in range(len(grid.metrics))
-        for l_value in grid.l_values
-        for fraction in grid.train_fractions
-    }
+    stats: dict[tuple[int, int, float, float], _CellStats] = {}
     for metric_i, metric in enumerate(grid.metrics):
         distances = _Distances(features, metric)
         for seed in seeds:
@@ -190,7 +184,9 @@ def static_grid(
                 ranked = full[full < train_size].reshape(test_size, train_size)
                 for k in grid.k_values:
                     if train_size < k:
-                        continue  # never filled: an infeasible row
+                        for l_value in grid.l_values:
+                            stats.setdefault((k, metric_i, l_value, fraction), _CellStats())
+                        continue
                     n_pos = pool_pos[ranked[:, :k]].sum(axis=1)
                     decided_pos, decided_neg = _vote(n_pos, k, thresholds_of[k])
                     decided_pos &= answered
@@ -203,7 +199,8 @@ def static_grid(
                         (~(decided_pos | decided_neg)).sum(axis=1).tolist(),
                     )
                     for l_value, (tp, fp, tn, fn, uncertain) in zip(grid.l_values, counts):
-                        stats[k, metric_i, l_value, fraction].add(
+                        key = (k, metric_i, l_value, fraction)
+                        stats.setdefault(key, _CellStats()).add(
                             tp, fp, tn, fn, uncertain, test_size
                         )
 
