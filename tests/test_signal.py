@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from forceknn.signal import (
     FeatureVector,
     ForceTrace,
     PreprocessConfig,
+    _savgol_projection,
     downsample_mean,
     preprocess,
     savgol_smooth,
@@ -83,6 +86,22 @@ def exact_savgol(x: np.ndarray, window: int, order: int) -> np.ndarray:
             row, segment = hat[half], xs[i - half : i + half + 1]
         out.append(float(sum(h * v for h, v in zip(row, segment))))
     return np.array(out)
+
+
+def preprocess_reference(samples, cfg: PreprocessConfig) -> np.ndarray:
+    """The two-step pipeline as first written: window views, three matmuls, ``mean``.
+
+    Same projection and same kernels on the same layouts, so it pins the
+    feature bits, not just their values to a tolerance.
+    """
+    x = np.array(samples, dtype=float)
+    window, half = cfg.sg_window, cfg.sg_window // 2
+    projection = _savgol_projection(window, cfg.sg_order)
+    smoothed = np.empty_like(x)
+    smoothed[:half] = projection[:half] @ x[:window]
+    smoothed[half : x.size - half] = sliding_window_view(x, window) @ projection[half]
+    smoothed[x.size - half :] = projection[half + 1 :] @ x[-window:]
+    return sliding_window_view(smoothed, cfg.ds_window)[:: cfg.ds_stride].mean(axis=1)
 
 
 def downsample_oracle(x: np.ndarray, window: int, stride: int) -> np.ndarray:
@@ -258,6 +277,52 @@ class TestPreprocess:
                 savgol_smooth(trace, cfg.sg_window, cfg.sg_order), cfg.ds_window, cfg.ds_stride
             )
             np.testing.assert_array_equal(via_pipeline.values, via_steps.values)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        half=st.integers(0, 12),
+        n=st.integers(1, 260),
+        ds_window=st.integers(1, 40),
+        ds_stride=st.integers(1, 40),
+        layout=st.sampled_from(["strided", "reversed", "float32", "int list", "read-only"]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 250.0, 1e6]),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_steps_and_reference(
+        self, half, n, ds_window, ds_stride, layout, seed, scale, data
+    ):
+        order = data.draw(st.integers(0, 2 * half), label="sg_order")
+        cfg = PreprocessConfig(2 * half + 1, order, ds_window, ds_stride)
+        base = np.random.default_rng(seed).normal(scale=scale, size=2 * n) + scale
+        if layout == "strided":
+            samples = base[::2]
+        elif layout == "reversed":
+            samples = base[:n][::-1]
+        elif layout == "float32":
+            samples = base[:n].astype(np.float32)
+        elif layout == "int list":
+            samples = np.round(base[:n]).astype(int).tolist()
+        else:
+            samples = base[:n].copy()
+            samples.flags.writeable = False
+        before = np.array(samples).tobytes()
+        trace = ForceTrace(samples)
+        try:
+            via_steps = downsample_mean(
+                savgol_smooth(trace, cfg.sg_window, cfg.sg_order), cfg.ds_window, cfg.ds_stride
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                preprocess(trace, cfg)
+            return
+        out = preprocess(trace, cfg)
+        assert out.values.dtype == np.float64
+        assert out.values.tobytes() == via_steps.values.tobytes()
+        assert out.values.tobytes() == preprocess_reference(samples, cfg).tobytes()
+        assert not out.values.flags.writeable
+        assert np.array(samples).tobytes() == before
+        assert trace.samples.tobytes() == np.asarray(samples, dtype=float).tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
