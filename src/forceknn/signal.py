@@ -1,6 +1,10 @@
 """Force-trace preprocessing: Savitzky-Golay smoothing and mean down-sampling.
 
 The smoothing filter is a fixed projection matrix, cached per (window, order).
+``preprocess`` runs both steps in one pass over plain arrays, with no
+intermediate trace object; it shares its two kernels (the smoother and the
+window view) with ``savgol_smooth`` and ``downsample_mean``, so its features
+equal theirs composed, bit for bit.
 """
 
 from __future__ import annotations
@@ -9,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ForceTrace",
@@ -22,12 +25,11 @@ __all__ = [
 
 
 def _as_finite_1d(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-D sequence of numbers")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite values")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -110,6 +112,32 @@ def _savgol_projection(window: int, order: int) -> np.ndarray:
     return projection
 
 
+def _windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Read-only view of every ``stride``-th length-``window`` run of contiguous ``x``.
+
+    The same shape and strides as ``sliding_window_view(x, window)[::stride]``,
+    built without its Python overhead. ``np.add.reduce(rows, axis=1) / window``
+    over it is exactly ``rows.mean(axis=1)`` for float64.
+    """
+    if x.size < window:
+        raise ValueError(f"trace of length {x.size} is shorter than window {window}")
+    shape = ((x.size - window) // stride + 1, window)
+    rows = np.ndarray(shape, x.dtype, buffer=x, strides=(stride * x.itemsize, x.itemsize))
+    rows.flags.writeable = False
+    return rows
+
+
+def _smooth(x: np.ndarray, window: int, order: int) -> np.ndarray:
+    """Savitzky-Golay smoothing of contiguous ``x`` into a new array."""
+    projection = _savgol_projection(window, order)
+    half = window // 2
+    smoothed = np.empty_like(x)
+    smoothed[half : x.size - half] = _windows(x, window, 1) @ projection[half]
+    smoothed[:half] = projection[:half] @ x[:window]
+    smoothed[x.size - half :] = projection[half + 1 :] @ x[-window:]
+    return smoothed
+
+
 def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceTrace:
     """Smooth a trace with a least-squares polynomial (Savitzky-Golay) filter.
 
@@ -124,16 +152,7 @@ def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceT
         raise ValueError("window must be an odd positive integer")
     if order < 0 or order >= window:
         raise ValueError("order must satisfy 0 <= order < window")
-    if len(trace) < window:
-        raise ValueError(f"trace of length {len(trace)} is shorter than window {window}")
-    projection = _savgol_projection(window, order)
-    half = window // 2
-    x = trace.samples
-    smoothed = np.empty_like(x)
-    smoothed[:half] = projection[:half] @ x[:window]
-    smoothed[half : x.size - half] = sliding_window_view(x, window) @ projection[half]
-    smoothed[x.size - half :] = projection[half + 1 :] @ x[-window:]
-    return ForceTrace(smoothed, trace.sample_rate)
+    return ForceTrace(_smooth(trace.samples, window, order), trace.sample_rate)
 
 
 def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> FeatureVector:
@@ -147,13 +166,14 @@ def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> Fe
         raise ValueError("window must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if len(trace) < window:
-        raise ValueError(f"trace of length {len(trace)} is shorter than window {window}")
-    windows = sliding_window_view(trace.samples, window)[::stride]
-    return FeatureVector(windows.mean(axis=1))
+    return FeatureVector(np.add.reduce(_windows(trace.samples, window, stride), axis=1) / window)
 
 
 def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) -> FeatureVector:
-    """Smooth then down-sample: the full trace-to-feature pipeline."""
-    smoothed = savgol_smooth(trace, cfg.sg_window, cfg.sg_order)
-    return downsample_mean(smoothed, cfg.ds_window, cfg.ds_stride)
+    """Smooth then down-sample: the full trace-to-feature pipeline.
+
+    Equal, bit for bit, to ``downsample_mean(savgol_smooth(trace, ...), ...)``.
+    """
+    smoothed = _smooth(trace.samples, cfg.sg_window, cfg.sg_order)
+    rows = _windows(smoothed, cfg.ds_window, cfg.ds_stride)
+    return FeatureVector(np.add.reduce(rows, axis=1) / cfg.ds_window)
