@@ -17,7 +17,7 @@ from .datagen import GenParams, gen_dataset
 from .dataset_io import DatasetFormatError, read_dataset, write_dataset
 from .grid import GridRow, GridSpec, online_grid, static_grid
 from .metrics import TimeModel, summarize_runs
-from .online import LoopConfig, run_replicated
+from .online import LoopConfig, TrialDataError, run_replicated
 from .reports import (
     aggregate_window_series,
     write_grid_csv,
@@ -258,6 +258,8 @@ def _cmd_online(args: argparse.Namespace) -> int:
     records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
     if len(set(records_names)) != len(records_names):
         raise _UsageError(f"l-values {opts['l_value']} would share a records file name")
+    if opts["rng_seed"] < 0:
+        raise _UsageError(f"--rng-seed must be non-negative, got {opts['rng_seed']}")
     trials = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,7 +305,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc)) from None
     if opts["static_seeds"] < 1:
         raise _UsageError(f"--static-seeds must be at least 1, got {opts['static_seeds']}")
-    if args.mode == "static" and opts["rng_seed"] < 0:
+    if opts["rng_seed"] < 0:
         raise _UsageError(f"--rng-seed must be non-negative, got {opts['rng_seed']}")
     trials = read_dataset(args.dataset)
     rows: list[GridRow]
@@ -337,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DatasetFormatError as exc:
+    except (DatasetFormatError, TrialDataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FileNotFoundError, FileExistsError, IsADirectoryError) as exc:

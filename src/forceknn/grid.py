@@ -33,8 +33,8 @@ from .classifier import (
     minkowski,
 )
 from .metrics import summarize_runs
-from .online import LabeledTrial, LoopConfig, _Distances, run_replicated
-from .signal import PreprocessConfig, preprocess
+from .online import LabeledTrial, LoopConfig, _Distances, _feature_matrix, run_replicated
+from .signal import PreprocessConfig
 
 __all__ = ["GridSpec", "GridRow", "static_grid", "online_grid"]
 
@@ -154,7 +154,7 @@ def static_grid(
         raise ValueError(f"seeds must be non-negative, got {', '.join(map(str, seeds))}")
     if len(trials) < 2:
         raise ValueError("dataset too small to split")
-    features = np.stack([preprocess(t.trace, preprocess_cfg).values for t in trials])
+    features = _feature_matrix(trials, preprocess_cfg)
     is_pos = np.array([t.truth is Label.POSITIVE for t in trials])
     n = len(trials)
     test_size = max(1, round(n * _TEST_SHARE))

@@ -269,12 +269,36 @@ class _Distances:
         return self.store[np.ix_(self.slot[rows], columns)]
 
 
+class TrialDataError(ValueError):
+    """A trial whose finite trace gives non-finite features; the message names the trial."""
+
+
+def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np.ndarray:
+    """The trials' preprocessed features, one row each.
+
+    A finite trace near the float range can overflow while it is smoothed.
+    ``FeatureVector`` rejects the result, so numpy's overflow warnings are
+    silenced and the rejection is raised as a ``TrialDataError``. A trace too
+    short for the windows stays a plain ``ValueError``: the config is at fault.
+    """
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in trials:
+            try:
+                rows.append(preprocess(trial.trace, cfg).values)
+            except ValueError as exc:
+                if len(trial.trace) < max(cfg.sg_window, cfg.ds_window):
+                    raise
+                raise TrialDataError(f"trial {trial.id}: {exc}") from None
+    return np.stack(rows)
+
+
 def _distances(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
     """The cached id-to-row map and distances for ``cfg``; new ones if the map lacks a trial."""
     key = (cfg.metric, cfg.preprocess)
     entry = cache.get(key)
     if entry is None or not all(trial.id in entry[0] for trial in trials):
-        features = np.stack([preprocess(t.trace, cfg.preprocess).values for t in trials])
+        features = _feature_matrix(trials, cfg.preprocess)
         row_of = {trial.id: i for i, trial in enumerate(trials)}
         entry = cache[key] = row_of, _Distances(features, cfg.metric)
     return entry

@@ -6,6 +6,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -142,13 +143,13 @@ class TestOnline:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def zero_trial_dataset(dataset):
-    """The dataset with its first trial's samples replaced by zeros (a dropped-out trace)."""
+def constant_trial_dataset(dataset, value="0.0"):
+    """The dataset with its first trial's samples all set to ``value`` (zeros: a dropped-out trace)."""
     lines = dataset.read_text(encoding="utf-8").splitlines()
     n_samples = int(lines[0].split(",")[2])
     trial_id, label = lines[1].split(",")[:2]
-    lines[1] = ",".join([trial_id, label, *["0.0"] * n_samples])
-    path = dataset.with_name("dropout.csv")
+    lines[1] = ",".join([trial_id, label, *[value] * n_samples])
+    path = dataset.with_name("constant.csv")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -163,9 +164,46 @@ def zero_trial_dataset(dataset):
     ],
 )
 def test_all_zero_trial_runs_under_cosine(tmp_path, dataset, monkeypatch, argv):
-    path = zero_trial_dataset(dataset)
+    path = constant_trial_dataset(dataset)
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--dataset", str(path), "--metric", "cosine"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    ("argv", "out"),
+    [
+        (["online", "--out", "out", *ONLINE_FLAGS], "out/records-l100.jsonl"),
+        (["grid", "--out", "static.csv", "--mode", "static", "--k", "5", "--static-seeds", "3"],
+         "static.csv"),
+        (["grid", "--out", "online.csv", "--mode", "online", "--k", "5", "--l-value", "50",
+          *ONLINE_FLAGS], "online.csv"),
+    ],
+    ids=["online", "grid-static", "grid-online"],
+)
+def test_trial_whose_features_overflow_is_data_error(tmp_path, dataset, monkeypatch, capsys,
+                                                     argv, out):
+    # Finite samples, but smoothing them overflows to inf.
+    path = constant_trial_dataset(dataset, "1.7e308")
+    trial_id = read_dataset(path)[0].id
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would escape main()
+        assert main([*argv, "--dataset", str(path)]) == EXIT_DATA
+    assert f"data error: trial {trial_id}: " in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["online", "--out", "out"], ["grid", "--out", "online.csv", "--mode", "online"]],
+    ids=["online", "grid-online"],
+)
+def test_negative_rng_seed_is_usage_error_before_reading(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    # the dataset does not exist: reading it first would exit with EXIT_DATA
+    assert main([*argv, "--dataset", "missing.csv", "--rng-seed", "-1"]) == EXIT_USAGE
+    assert "--rng-seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / argv[2]).exists()
 
 
 class TestGrid:
