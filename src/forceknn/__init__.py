@@ -46,6 +46,7 @@ from .online import (
     LoopConfig,
     Phase,
     RunReport,
+    TrialDataError,
     TrialRecord,
     run_online,
     run_replicated,
@@ -85,6 +86,7 @@ __all__ = [
     "Phase",
     "TrialRecord",
     "RunReport",
+    "TrialDataError",
     "run_online",
     "run_replicated",
     "ConfusionMode",

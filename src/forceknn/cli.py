@@ -63,7 +63,11 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
-    """Merge flag values, config-file values and defaults for one subcommand."""
+    """Merge flag values, config-file values and defaults for one subcommand.
+
+    Every subcommand takes ``--rng-seed``; a negative one is rejected here,
+    before any file is read.
+    """
     config = _load_config(args.config) if args.config else {}
     known = set(spec)
     for key in config:
@@ -81,6 +85,8 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
                 raise _UsageError(f"bad config value for {key}: {config[key]!r}") from None
         else:
             resolved[key] = default
+    if resolved["rng_seed"] < 0:
+        raise _UsageError(f"--rng-seed must be non-negative, got {resolved['rng_seed']}")
     return resolved
 
 
@@ -258,8 +264,6 @@ def _cmd_online(args: argparse.Namespace) -> int:
     records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
     if len(set(records_names)) != len(records_names):
         raise _UsageError(f"l-values {opts['l_value']} would share a records file name")
-    if opts["rng_seed"] < 0:
-        raise _UsageError(f"--rng-seed must be non-negative, got {opts['rng_seed']}")
     trials = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,8 +309,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc)) from None
     if opts["static_seeds"] < 1:
         raise _UsageError(f"--static-seeds must be at least 1, got {opts['static_seeds']}")
-    if opts["rng_seed"] < 0:
-        raise _UsageError(f"--rng-seed must be non-negative, got {opts['rng_seed']}")
     trials = read_dataset(args.dataset)
     rows: list[GridRow]
     if args.mode == "static":

@@ -31,6 +31,7 @@ __all__ = [
     "TrialRecord",
     "RecordColumns",
     "RunReport",
+    "TrialDataError",
     "run_online",
     "run_replicated",
 ]

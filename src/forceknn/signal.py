@@ -132,6 +132,7 @@ def _smooth(x: np.ndarray, window: int, order: int) -> np.ndarray:
     projection = _savgol_projection(window, order)
     half = window // 2
     smoothed = np.empty_like(x)
+    # The interior first: ``_windows`` rejects a trace shorter than the window.
     smoothed[half : x.size - half] = _windows(x, window, 1) @ projection[half]
     smoothed[:half] = projection[:half] @ x[:window]
     smoothed[x.size - half :] = projection[half + 1 :] @ x[-window:]

@@ -195,13 +195,15 @@ def test_trial_whose_features_overflow_is_data_error(tmp_path, dataset, monkeypa
 
 @pytest.mark.parametrize(
     "argv",
-    [["online", "--out", "out"], ["grid", "--out", "online.csv", "--mode", "online"]],
-    ids=["online", "grid-online"],
+    [["online", "--out", "out", "--dataset", "missing.csv"],
+     ["grid", "--out", "online.csv", "--mode", "online", "--dataset", "missing.csv"],
+     ["gen", "--out", "gen.csv", "--n-pos", "1", "--n-neg", "1"]],
+    ids=["online", "grid-online", "gen"],
 )
 def test_negative_rng_seed_is_usage_error_before_reading(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     # the dataset does not exist: reading it first would exit with EXIT_DATA
-    assert main([*argv, "--dataset", "missing.csv", "--rng-seed", "-1"]) == EXIT_USAGE
+    assert main([*argv, "--rng-seed", "-1"]) == EXIT_USAGE
     assert "--rng-seed must be non-negative, got -1" in capsys.readouterr().err
     assert not (tmp_path / argv[2]).exists()
 
