@@ -128,11 +128,14 @@ def _windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
 
 
 def _smooth(x: np.ndarray, window: int, order: int) -> np.ndarray:
-    """Savitzky-Golay smoothing of contiguous ``x`` into a new array."""
+    """Savitzky-Golay smoothing of contiguous ``x`` into a new array.
+
+    The interior goes first, so a trace shorter than ``window`` gets the
+    length error from ``_windows``, not a shape error from an edge product.
+    """
     projection = _savgol_projection(window, order)
     half = window // 2
     smoothed = np.empty_like(x)
-    # The interior first: ``_windows`` rejects a trace shorter than the window.
     smoothed[half : x.size - half] = _windows(x, window, 1) @ projection[half]
     smoothed[:half] = projection[:half] @ x[:window]
     smoothed[x.size - half :] = projection[half + 1 :] @ x[-window:]
