@@ -371,3 +371,10 @@ class TestConfigFileAndExitCodes:
         )
         assert code == EXIT_CONFIG
         capsys.readouterr()
+        # windows longer than the traces: the config is at fault, not a trial
+        code = main(
+            ["online", "--dataset", str(dataset), "--out", str(tmp_path / "o"),
+             "--sg-window", "1001"]
+        )
+        assert code == EXIT_CONFIG
+        assert "trace of length 1000 is shorter than window 1001" in capsys.readouterr().err
