@@ -34,7 +34,9 @@ from .classifier import (
 )
 from .metrics import summarize_runs
 from .online import LabeledTrial, LoopConfig, _Distances, _feature_matrix, run_replicated
-from .signal import PreprocessConfig
+# preprocess is not called here (the feature stack is online._feature_matrix) but
+# stays importable as grid.preprocess: the benchmark's tracer patches it there.
+from .signal import PreprocessConfig, preprocess
 
 __all__ = ["GridSpec", "GridRow", "static_grid", "online_grid"]
 
