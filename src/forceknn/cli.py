@@ -66,7 +66,7 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
     """Merge flag values, config-file values and defaults for one subcommand.
 
     Every subcommand takes ``--rng-seed``; a negative one is rejected here,
-    before any file is read.
+    before any file is read or written.
     """
     config = _load_config(args.config) if args.config else {}
     known = set(spec)
