@@ -264,6 +264,8 @@ def _cmd_online(args: argparse.Namespace) -> int:
     records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
     if len(set(records_names)) != len(records_names):
         raise _UsageError(f"l-values {opts['l_value']} would share a records file name")
+    # An infeasible config exits before the dataset is read or the directory made.
+    configs = [_loop_config(opts, k, metric, l_value) for l_value in opts["l_value"]]
     trials = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,11 +273,10 @@ def _cmd_online(args: argparse.Namespace) -> int:
     distances: dict = {}  # one distance store, shared by every l-value
     summary_rows = []
     window_series = []
-    for l_value, records_name in zip(opts["l_value"], records_names):
-        cfg = _loop_config(opts, k, metric, l_value)
+    for cfg, records_name in zip(configs, records_names):
         reports = run_replicated(trials, cfg, feature_cache=distances)
         summary_rows.append(summarize_runs(reports))
-        window_series.append((l_value, aggregate_window_series(reports, tm)))
+        window_series.append((cfg.l_value, aggregate_window_series(reports, tm)))
         records_path = out_dir / records_name
         write_records_jsonl(records_path, reports)
         print(f"wrote {records_path}")
@@ -309,15 +310,19 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc)) from None
     if opts["static_seeds"] < 1:
         raise _UsageError(f"--static-seeds must be at least 1, got {opts['static_seeds']}")
+    # An infeasible config exits before the dataset is read. k=1 satisfies any
+    # seed_size; online_grid swaps in each cell's k.
+    if args.mode == "static":
+        cfg = _preprocess_config(opts)
+    else:
+        cfg = _loop_config(opts, k=1, metric=grid.metrics[0], l_value=grid.l_values[0])
     trials = read_dataset(args.dataset)
     rows: list[GridRow]
     if args.mode == "static":
         seeds = [opts["rng_seed"] + i for i in range(opts["static_seeds"])]
-        rows = static_grid(trials, grid, _preprocess_config(opts), seeds)
+        rows = static_grid(trials, grid, cfg, seeds)
     else:
-        # k=1 satisfies any seed_size; online_grid swaps in each cell's k.
-        base_cfg = _loop_config(opts, k=1, metric=grid.metrics[0], l_value=grid.l_values[0])
-        rows = online_grid(trials, grid, base_cfg)
+        rows = online_grid(trials, grid, cfg)
     opts.update(
         k=list(grid.k_values),
         metric=list(grid.metrics),

@@ -5,9 +5,12 @@ ratio, subsample the remaining pool down to each training fraction,
 classify the test split and average per-cell statistics over shuffle seeds.
 It ranks through the online replay's distance store: one per metric, shared
 by every seed, so one is alive at a time; each seed reads its test trials'
-rows. Those rows are sorted once per (metric, seed) over the whole pool;
-each training fraction filters that order down to its prefix, and one vote
-per k decides all l-values at once. Online mode replays the growing-dataset
+rows. Distances are symmetric to the bit, so a new row copies its entries
+for trials that already have a row from those rows. The rows are sorted
+once per (metric, seed) over the whole pool, by numpy's unstable SIMD sort
+with an audit that sorts again stably every row holding a tie; each
+training fraction filters that order down to its prefix, and one vote per
+k decides all l-values at once. Online mode replays the growing-dataset
 loop per (k, metric, l) cell.
 
 Cells that cannot run (training set smaller than k, or a loop config whose
@@ -132,6 +135,20 @@ class _CellStats:
         )
 
 
+def _stable_argsort(dists: np.ndarray) -> np.ndarray:
+    """``np.argsort(dists, axis=1, kind="stable")``, by way of numpy's faster unstable sort.
+
+    A row whose sorted values strictly increase has one sorted order, so the
+    unstable sort found it. Every other row (ties, NaN or -0.0 beside 0.0) is
+    sorted again stably.
+    """
+    order = np.argsort(dists, axis=1)
+    ordered = np.take_along_axis(dists, order, axis=1)
+    audit_failed = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    order[audit_failed] = np.argsort(dists[audit_failed], axis=1, kind="stable")
+    return order
+
+
 def static_grid(
     trials: Sequence[LabeledTrial],
     grid: GridSpec = GridSpec(),
@@ -143,11 +160,14 @@ def static_grid(
     Per seed the trials are permuted once; the test split is the trailing
     100/704 share (at least one trial) and each training fraction takes a
     prefix of the remaining pool, so larger fractions extend smaller ones.
-    Each seed's test rows get one stable sort over the whole pool; a
-    fraction keeps the entries below its training size, which is the stable
-    order of its prefix, ties and NaN included. Per (fraction, k) one vote
-    over an (l-values, test trials) mask fills every l-value's cell.
-    Seeds must be non-negative.
+    Each seed's test rows come from the distance store, which copies a
+    row's entries for trials with a stored row from those rows. They get
+    one stable sort over the whole pool: an unstable sort, kept for rows
+    whose sorted values strictly increase, with the other rows sorted again
+    stably. A fraction keeps the entries below its training size, which is
+    the stable order of its prefix, ties and NaN included. Per (fraction,
+    k) one vote over an (l-values, test trials) mask fills every l-value's
+    cell. Seeds must be non-negative.
     """
     trials = list(trials)
     if not seeds:
@@ -180,7 +200,7 @@ def static_grid(
             answered = distances.answered[test_idx]
             # A stable sort keeps equal distances in pool order, so the columns
             # below m of the full order are the stable order of the first m.
-            full = np.argsort(dists, axis=1, kind="stable")
+            full = _stable_argsort(dists)
             for fraction in grid.train_fractions:
                 train_size = round(fraction * pool_size)
                 ranked = full[full < train_size].reshape(test_size, train_size)

@@ -229,12 +229,16 @@ _STORE_BYTES = 2**30
 class _Distances:
     """Distances between the rows of one feature matrix under one metric.
 
-    Row j is computed the first time it is asked for: row ``slot[j]`` of
+    Row j is filled the first time it is asked for: row ``slot[j]`` of
     ``store`` holds the distances from every row of ``features`` (the
     columns) to row j, by the per-query routine of ``classify`` with row j
     as the query. That routine is symmetric to the bit, so row j also holds
-    each query's distance to reference j. Under cosine a zero-norm row sits
-    at distance 1 from every query and, as a query, abstains (``answered``).
+    each query's distance to reference j, and a new row takes its entries
+    for trials with a stored row from those rows. Only the other columns
+    are computed, against one copy of their features per call; when the
+    copy would cost more than the pairs it saves, every column is computed.
+    Under cosine a zero-norm row sits at distance 1 from every query and,
+    as a query, abstains (``answered``).
     """
 
     def __init__(self, features: np.ndarray, metric: Metric) -> None:
@@ -262,11 +266,22 @@ class _Distances:
                 grown = np.empty((min(n, limit, max(2 * len(self.store), need, 64)), n))
                 grown[: self.n_rows] = self.store[: self.n_rows]
                 self.store = grown
-        for j in missing:
-            row = _batch_distances(self.features, self.norms, self.features[j], self.metric)
-            self.store[self.n_rows] = 1.0 if row is None else row
-            self.slot[j] = self.n_rows
-            self.n_rows += 1
+        if len(missing):
+            new = slice(self.n_rows, self.n_rows + len(missing))
+            stored = np.flatnonzero(self.slot >= 0)
+            fresh = slice(None)  # the columns to compute, all of them unless filled below
+            # Stored row i holds every query's distance to i, so also each new
+            # row's. Taking those saves len(missing) * len(stored) pairs and
+            # costs a copy of the other columns' features: worth it when larger.
+            if len(missing) * len(stored) > len(self.slot) - len(stored):
+                fresh = np.flatnonzero(self.slot < 0)
+                self.store[new, stored] = self.store[self.slot[stored][:, np.newaxis], missing].T
+            features, norms = self.features[fresh], self.norms[fresh]
+            for at, j in enumerate(missing, start=new.start):
+                row = _batch_distances(features, norms, self.features[j], self.metric)
+                self.store[at, fresh] = 1.0 if row is None else row
+            self.slot[missing] = np.arange(new.start, new.stop)
+            self.n_rows = new.stop
         return self.store[np.ix_(self.slot[rows], columns)]
 
 

@@ -26,6 +26,18 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_benchmark_tracer_finds_every_patch_target():
+    # bench/spans.py replaces functions by name in the package's modules; a
+    # renamed or removed target would otherwise fail only in a traced run.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    probe = "import forceknn, forceknn.cli, spans; spans.instrument(spans.Tracer(), forceknn)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def run_gen(tmp_path, name="data.csv", n_pos=14, n_neg=16, extra=()):
     path = tmp_path / name
     code = main(
@@ -206,6 +218,24 @@ def test_negative_rng_seed_is_usage_error_before_reading(tmp_path, monkeypatch, 
     assert main([*argv, "--rng-seed", "-1"]) == EXIT_USAGE
     assert "--rng-seed must be non-negative, got -1" in capsys.readouterr().err
     assert not (tmp_path / argv[2]).exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "out"),
+    [(["online", "--out", "out", "--runs", "0"], "out"),
+     (["online", "--out", "out", "--seed-size", "5", "--k", "11"], "out"),
+     (["online", "--out", "out", "--l-value", "100,150"], "out"),
+     (["grid", "--out", "online.csv", "--mode", "online", "--runs", "0"], "online.csv"),
+     (["grid", "--out", "static.csv", "--mode", "static", "--sg-window", "4"], "static.csv")],
+    ids=["online-runs", "online-seed-size", "online-l-value", "grid-online-runs",
+         "grid-static-sg-window"],
+)
+def test_infeasible_config_exits_before_reading(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    # the dataset does not exist: reading it first would exit with EXIT_DATA
+    assert main([*argv, "--dataset", "missing.csv"]) == EXIT_CONFIG
+    assert "infeasible config: " in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
 
 
 class TestGrid:

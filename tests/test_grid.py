@@ -18,7 +18,7 @@ from forceknn.classifier import (
     minkowski,
 )
 from forceknn.datagen import gen_dataset
-from forceknn.grid import GridRow, GridSpec, online_grid, static_grid
+from forceknn.grid import GridRow, GridSpec, _stable_argsort, online_grid, static_grid
 from forceknn.online import LabeledTrial, LoopConfig
 from forceknn.signal import ForceTrace, PreprocessConfig, preprocess
 
@@ -53,6 +53,31 @@ def static_cell_oracle(trials, seed, fraction, k, metric, l_value):
 @pytest.fixture(scope="module")
 def trials():
     return gen_dataset(25, 30, rng_seed=77)
+
+
+# Few distinct values, so rows are full of exact ties, NaN, signed zeros and infinities.
+_SORT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def sort_blocks(draw):
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 40))
+    values = draw(st.lists(_SORT_VALUES, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    block = np.array(values, dtype=float).reshape(n_rows, n_cols)
+    return block.T if draw(st.booleans()) else block  # a transpose is not contiguous
+
+
+class TestStableArgsort:
+    @settings(deadline=None, max_examples=200)
+    @given(block=sort_blocks())
+    def test_equals_numpy_stable_argsort(self, block):
+        expected = np.argsort(block, axis=1, kind="stable")
+        got = _stable_argsort(block)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 class TestGridSpec:

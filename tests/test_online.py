@@ -19,6 +19,8 @@ from forceknn.classifier import (
     Decision,
     KnnModel,
     Label,
+    _batch_distances,
+    _reference_norms,
     classify,
     minkowski,
 )
@@ -385,6 +387,42 @@ def replay_cases(draw):
         n_runs=2,
     )
     return stream, cfg
+
+
+class TestDistanceStore:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        metric=st.sampled_from([COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0), minkowski(1.5)]),
+        data=st.data(),
+    )
+    def test_rows_equal_batch_distances_over_the_full_matrix(self, metric, data):
+        n = data.draw(st.integers(2, 24), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+        features = rng.normal(size=(n, 9)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+        index = st.integers(0, n - 1)
+        for i in data.draw(st.lists(index, max_size=3), label="zero-norm rows"):
+            features[i] = 0.0
+        for i, j in data.draw(st.lists(st.tuples(index, index), max_size=4), label="duplicates"):
+            features[i] = features[j]
+        norms = _reference_norms(features)
+        expected = np.ones((n, n))  # a zero-norm cosine query's row is all 1.0
+        for j in range(n):
+            row = _batch_distances(features, norms, features[j], metric)
+            if row is not None:
+                expected[j] = row
+        requests = data.draw(
+            st.lists(st.lists(index, min_size=1, unique=True), min_size=1, max_size=8),
+            label="requested rows",
+        )
+        store_rows = data.draw(st.integers(1, n), label="store rows")
+        # A store smaller than the rows it is asked for starts over.
+        with mock.patch.object(online, "_STORE_BYTES", 8 * n * store_rows):
+            store = online._Distances(features, metric)
+            for request in requests:
+                rows = np.array(request)
+                columns = np.array(data.draw(st.permutations(range(n)), label="columns"))
+                got = store.between(columns, rows)
+                assert got.tobytes() == expected[np.ix_(rows, columns)].tobytes()
 
 
 class TestBatchedReplayMatchesReference:
