@@ -415,7 +415,7 @@ class TestDistanceStore:
             label="requested rows",
         )
         store_rows = data.draw(st.integers(1, n), label="store rows")
-        # A store smaller than the rows it is asked for starts over.
+        # The store starts over when the new rows of a request do not fit in store_rows.
         with mock.patch.object(online, "_STORE_BYTES", 8 * n * store_rows):
             store = online._Distances(features, metric)
             for request in requests:
