@@ -8,6 +8,7 @@ command-line flags win over the file, which wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -310,19 +311,18 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc)) from None
     if opts["static_seeds"] < 1:
         raise _UsageError(f"--static-seeds must be at least 1, got {opts['static_seeds']}")
-    # An infeasible config exits before the dataset is read. k=1 satisfies any
-    # seed_size; online_grid swaps in each cell's k.
-    if args.mode == "static":
-        cfg = _preprocess_config(opts)
-    else:
-        cfg = _loop_config(opts, k=1, metric=grid.metrics[0], l_value=grid.l_values[0])
-    trials = read_dataset(args.dataset)
-    rows: list[GridRow]
+    # An infeasible config exits before the dataset is read.
     if args.mode == "static":
         seeds = [opts["rng_seed"] + i for i in range(opts["static_seeds"])]
-        rows = static_grid(trials, grid, cfg, seeds)
+        sweep = functools.partial(
+            static_grid, grid=grid, preprocess_cfg=_preprocess_config(opts), seeds=seeds
+        )
     else:
-        rows = online_grid(trials, grid, cfg)
+        # k=1 satisfies any seed_size; online_grid swaps in each cell's k.
+        base_cfg = _loop_config(opts, k=1, metric=grid.metrics[0], l_value=grid.l_values[0])
+        sweep = functools.partial(online_grid, grid=grid, base_cfg=base_cfg)
+    trials = read_dataset(args.dataset)
+    rows: list[GridRow] = sweep(trials)
     opts.update(
         k=list(grid.k_values),
         metric=list(grid.metrics),

@@ -235,8 +235,7 @@ class _Distances:
     as the query. That routine is symmetric to the bit, so row j also holds
     each query's distance to reference j, and a new row takes its entries
     for trials with a stored row from those rows. Only the other columns
-    are computed, against one copy of their features per call; when the
-    copy would cost more than the pairs it saves, every column is computed.
+    are computed, against one copy of their features per call.
     Under cosine a zero-norm row sits at distance 1 from every query and,
     as a query, abstains (``answered``).
     """
@@ -269,13 +268,9 @@ class _Distances:
         if len(missing):
             new = slice(self.n_rows, self.n_rows + len(missing))
             stored = np.flatnonzero(self.slot >= 0)
-            fresh = slice(None)  # the columns to compute, all of them unless filled below
-            # Stored row i holds every query's distance to i, so also each new
-            # row's. Taking those saves len(missing) * len(stored) pairs and
-            # costs a copy of the other columns' features: worth it when larger.
-            if len(missing) * len(stored) > len(self.slot) - len(stored):
-                fresh = np.flatnonzero(self.slot < 0)
-                self.store[new, stored] = self.store[self.slot[stored][:, np.newaxis], missing].T
+            # Stored row i holds every query's distance to i, so also each new row's.
+            self.store[new, stored] = self.store[self.slot[stored][:, np.newaxis], missing].T
+            fresh = np.flatnonzero(self.slot < 0)
             features, norms = self.features[fresh], self.norms[fresh]
             for at, j in enumerate(missing, start=new.start):
                 row = _batch_distances(features, norms, self.features[j], self.metric)
