@@ -20,6 +20,7 @@ seed phase cannot cover k) are emitted as explicit ``infeasible`` rows.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +36,7 @@ from .classifier import (
     min_agreeing_count,
     minkowski,
 )
-from .metrics import summarize_runs
+from .metrics import _fold_mean, summarize_runs
 from .online import LabeledTrial, LoopConfig, _Distances, _feature_matrix, run_replicated
 # preprocess is not called here (the feature stack is online._feature_matrix) but
 # stays importable as grid.preprocess: the benchmark's tracer patches it there.
@@ -98,43 +99,6 @@ def _sort_key(row: GridRow):
     return (row.k, row.metric, row.l_value, row.train_fraction)
 
 
-@dataclass
-class _CellStats:
-    precisions: list[float] = dataclasses.field(default_factory=list)
-    recalls: list[float] = dataclasses.field(default_factory=list)
-    uncertain_pcts: list[float] = dataclasses.field(default_factory=list)
-    cells: list[tuple[int, int, int, int]] = dataclasses.field(default_factory=list)
-
-    def add(self, tp: int, fp: int, tn: int, fn: int, uncertain: int, n_eval: int) -> None:
-        if tp + fp > 0:
-            self.precisions.append(tp / (tp + fp))
-        if tp + fn > 0:
-            self.recalls.append(tp / (tp + fn))
-        self.uncertain_pcts.append(100.0 * uncertain / n_eval)
-        self.cells.append((tp, fp, tn, fn))
-
-    def to_row(self, k: int, metric: Metric, l_value: float, fraction: float) -> GridRow:
-        """The cell's mean statistics, or an infeasible row when it never ran."""
-        n = len(self.cells)
-        if n == 0:
-            return GridRow(k, str(metric), l_value, fraction, status="infeasible")
-        mean_cells = [sum(cell[i] for cell in self.cells) / n for i in range(4)]
-        return GridRow(
-            k=k,
-            metric=str(metric),
-            l_value=l_value,
-            train_fraction=fraction,
-            status="ok",
-            precision=(sum(self.precisions) / len(self.precisions)) if self.precisions else None,
-            recall=(sum(self.recalls) / len(self.recalls)) if self.recalls else None,
-            uncertain_pct=sum(self.uncertain_pcts) / n,
-            tp=mean_cells[0],
-            fp=mean_cells[1],
-            tn=mean_cells[2],
-            fn=mean_cells[3],
-        )
-
-
 def _stable_argsort(dists: np.ndarray) -> np.ndarray:
     """``np.argsort(dists, axis=1, kind="stable")``, by way of numpy's faster unstable sort.
 
@@ -167,7 +131,9 @@ def static_grid(
     stably. A fraction keeps the entries below its training size, which is
     the stable order of its prefix, ties and NaN included. Per (fraction,
     k) one vote over an (l-values, test trials) mask fills every l-value's
-    cell. Seeds must be non-negative.
+    cell, and one reduction per seed counts every cell's outcomes. A cell's
+    statistics are left-fold means over seeds in seed order. Seeds must be
+    non-negative.
     """
     trials = list(trials)
     if not seeds:
@@ -188,48 +154,50 @@ def static_grid(
         k: np.array([[min_agreeing_count(k, l_value)] for l_value in grid.l_values])
         for k in grid.k_values
     }
-    stats: dict[tuple[int, int, float, float], _CellStats] = {}
-    for metric_i, metric in enumerate(grid.metrics):
+    shape = (len(grid.train_fractions), len(grid.k_values), len(grid.l_values))
+    cells = list(itertools.product(grid.train_fractions, grid.k_values, grid.l_values))
+    feasible = [round(fraction * pool_size) >= k for fraction, k, _ in cells]
+    rows = []
+    for metric in grid.metrics:
         distances = _Distances(features, metric)
-        for seed in seeds:
+        # tp, fp, tn, fn and uncertain per (seed, cell).
+        counts = np.empty((len(seeds), len(cells), 5), dtype=np.int64)
+        for seed, seed_counts in zip(seeds, counts):
             order = np.random.default_rng(seed).permutation(n)
             pool_idx, test_idx = order[:pool_size], order[pool_size:]
             pool_pos, truth_pos = is_pos[pool_idx], is_pos[test_idx]
             # The test trials' rows: each test trial, as the query, to every pool trial.
             dists = distances.between(pool_idx, test_idx)
-            answered = distances.answered[test_idx]
             # A stable sort keeps equal distances in pool order, so the columns
             # below m of the full order are the stable order of the first m.
             full = _stable_argsort(dists)
-            for fraction in grid.train_fractions:
+            # Positive and negative votes per (fraction, k, l-value, test trial);
+            # infeasible cells (train_size < k) stay undecided.
+            decided = np.zeros((2, *shape, test_size), dtype=bool)
+            for f, fraction in enumerate(grid.train_fractions):
                 train_size = round(fraction * pool_size)
                 ranked = full[full < train_size].reshape(test_size, train_size)
-                for k in grid.k_values:
-                    if train_size < k:
-                        for l_value in grid.l_values:
-                            stats.setdefault((k, metric_i, l_value, fraction), _CellStats())
-                        continue
-                    n_pos = pool_pos[ranked[:, :k]].sum(axis=1)
-                    decided_pos, decided_neg = _vote(n_pos, k, thresholds_of[k])
-                    decided_pos &= answered
-                    decided_neg &= answered
-                    counts = zip(
-                        (decided_pos & truth_pos).sum(axis=1).tolist(),
-                        (decided_pos & ~truth_pos).sum(axis=1).tolist(),
-                        (decided_neg & ~truth_pos).sum(axis=1).tolist(),
-                        (decided_neg & truth_pos).sum(axis=1).tolist(),
-                        (~(decided_pos | decided_neg)).sum(axis=1).tolist(),
-                    )
-                    for l_value, (tp, fp, tn, fn, uncertain) in zip(grid.l_values, counts):
-                        key = (k, metric_i, l_value, fraction)
-                        stats.setdefault(key, _CellStats()).add(
-                            tp, fp, tn, fn, uncertain, test_size
-                        )
-
-    rows = [
-        cell.to_row(k, grid.metrics[metric_i], l_value, fraction)
-        for (k, metric_i, l_value, fraction), cell in stats.items()
-    ]
+                for i, k in enumerate(grid.k_values):
+                    if train_size >= k:
+                        n_pos = pool_pos[ranked[:, :k]].sum(axis=1)
+                        decided[:, f, i] = _vote(n_pos, k, thresholds_of[k])
+            pos, neg = decided & distances.answered[test_idx]
+            outcomes = (pos & truth_pos, pos & ~truth_pos, neg & ~truth_pos, neg & truth_pos)
+            stacked = np.stack((*outcomes, ~(pos | neg)), axis=-1)
+            seed_counts[:] = stacked.sum(axis=-2).reshape(-1, 5)
+        tp, fp, _, fn, uncertain = counts.transpose(2, 0, 1)
+        means, _ = _fold_mean(counts[..., :4])
+        uncertain_pcts, _ = _fold_mean(100.0 * uncertain / test_size)
+        precisions, _ = _fold_mean(tp / np.maximum(tp + fp, 1), tp + fp > 0)
+        recalls, _ = _fold_mean(tp / np.maximum(tp + fn, 1), tp + fn > 0)
+        for (fraction, k, l_value), ok, *stats, cell_means in zip(
+            cells, feasible, precisions, recalls, uncertain_pcts, means
+        ):
+            rows.append(
+                GridRow(k, str(metric), l_value, fraction, "ok", *stats, *cell_means)
+                if ok
+                else GridRow(k, str(metric), l_value, fraction, status="infeasible")
+            )
     return sorted(rows, key=_sort_key)
 
 
@@ -257,7 +225,7 @@ def online_grid(
                 try:
                     cfg = dataclasses.replace(base_cfg, k=k, metric=metric, l_value=l_value)
                 except ValueError:
-                    rows.append(_CellStats().to_row(k, metric, l_value, 1.0))
+                    rows.append(GridRow(k, str(metric), l_value, 1.0, status="infeasible"))
                     continue
                 reports = run_replicated(trials, cfg, base_seed, feature_cache=distances)
                 summary = summarize_runs(reports)

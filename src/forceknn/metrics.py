@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -77,6 +77,25 @@ def _ratio(num: float, den: float) -> float | None:
     if den == 0:
         return None
     return num / den
+
+
+def _fold_mean(values, defined=None) -> tuple:
+    """Means over the first axis of ``values`` and their entry counts, converted by ``tolist``.
+
+    Only entries where ``defined`` is set (every entry by default) count, and
+    a mean over none is None. Entries are added one after another in
+    first-axis order, so each mean is the same float on every Python and
+    numpy: builtin ``sum`` compensates floats since Python 3.12, and numpy's
+    ``sum`` adds pairwise.
+    """
+    values = np.asarray(values, dtype=float)
+    if defined is None:
+        defined = np.ones(values.shape, dtype=bool)
+    total = np.zeros(values.shape[1:])
+    for row in np.where(defined, values, 0.0):
+        total += row
+    counts = np.count_nonzero(defined, axis=0)
+    return np.where(counts > 0, total / np.maximum(counts, 1), None).tolist(), counts.tolist()
 
 
 def confusion(
@@ -218,37 +237,33 @@ def summarize_runs(
     reports: Sequence[RunReport],
     mode: ConfusionMode = ConfusionMode.CLASSIFIER_ONLY,
 ) -> SummaryRow:
-    """Average per-run statistics over replicated runs."""
+    """Average per-run statistics over replicated runs, in run order."""
     if not reports:
         raise ValueError("no reports to summarize")
-    counts = [confusion(report.records, mode) for report in reports]
-    precisions = [precision(c) for c in counts]
-    recalls = [recall(c) for c in counts]
-    defined_p = [p for p in precisions if p is not None]
-    defined_r = [r for r in recalls if r is not None]
+    counts = np.array([astuple(confusion(report.records, mode)) for report in reports])
+    tp, fp, _, fn, _ = counts.T
+    (mean_tp, mean_fp, mean_tn, mean_fn, mean_uncertain), _ = _fold_mean(counts)
+    (n_records, dataset_size, verifications), _ = _fold_mean(
+        [(len(r.records), r.final_dataset_size, r.verified_count) for r in reports]
+    )
+    mean_precision, precision_runs = _fold_mean(tp / np.maximum(tp + fp, 1), tp + fp > 0)
+    mean_recall, recall_runs = _fold_mean(tp / np.maximum(tp + fn, 1), tp + fn > 0)
     n = len(reports)
-
-    def mean(values) -> float:
-        return float(sum(values)) / n
-
-    mean_tp = mean(c.tp for c in counts)
-    mean_fp = mean(c.fp for c in counts)
-    mean_fn = mean(c.fn for c in counts)
     return SummaryRow(
         l_value=reports[0].config.l_value,
         n_runs=n,
-        n_records=mean(len(report.records) for report in reports),
-        mean_dataset_size=mean(report.final_dataset_size for report in reports),
-        mean_verification_count=mean(report.verified_count for report in reports),
-        mean_precision=(sum(defined_p) / len(defined_p)) if defined_p else None,
-        mean_recall=(sum(defined_r) / len(defined_r)) if defined_r else None,
-        precision_undefined_runs=n - len(defined_p),
-        recall_undefined_runs=n - len(defined_r),
+        n_records=n_records,
+        mean_dataset_size=dataset_size,
+        mean_verification_count=verifications,
+        mean_precision=mean_precision,
+        precision_undefined_runs=n - precision_runs,
+        mean_recall=mean_recall,
+        recall_undefined_runs=n - recall_runs,
         mean_tp=mean_tp,
         mean_fp=mean_fp,
-        mean_tn=mean(c.tn for c in counts),
+        mean_tn=mean_tn,
         mean_fn=mean_fn,
-        mean_uncertain=mean(c.uncertain for c in counts),
+        mean_uncertain=mean_uncertain,
         pooled_precision=_ratio(mean_tp, mean_tp + mean_fp),
         pooled_recall=_ratio(mean_tp, mean_tp + mean_fn),
     )

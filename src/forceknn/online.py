@@ -287,20 +287,19 @@ class TrialDataError(ValueError):
 def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np.ndarray:
     """The trials' preprocessed features, one row each.
 
-    A finite trace near the float range can overflow while it is smoothed.
-    ``FeatureVector`` rejects the result, so numpy's overflow warnings are
-    silenced and the rejection is raised as a ``TrialDataError``. A trace too
-    short for the windows stays a plain ``ValueError``: the config is at fault.
+    A finite trace near the float range can overflow while it is
+    preprocessed; ``preprocess`` raises a ``ValueError`` for it, re-raised
+    here as a ``TrialDataError``. A trace too short for the windows stays a
+    plain ``ValueError``: the config is at fault.
     """
     rows = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for trial in trials:
-            try:
-                rows.append(preprocess(trial.trace, cfg).values)
-            except ValueError as exc:
-                if len(trial.trace) < max(cfg.sg_window, cfg.ds_window):
-                    raise
-                raise TrialDataError(f"trial {trial.id}: {exc}") from None
+    for trial in trials:
+        try:
+            rows.append(preprocess(trial.trace, cfg).values)
+        except ValueError as exc:
+            if len(trial.trace) < max(cfg.sg_window, cfg.ds_window):
+                raise
+            raise TrialDataError(f"trial {trial.id}: {exc}") from None
     return np.stack(rows)
 
 

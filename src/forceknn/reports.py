@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset_io import _write_text_atomic
 from .grid import GridRow
-from .metrics import SummaryRow, TimeModel, _costs, _window_counts, _window_sums
+from .metrics import SummaryRow, TimeModel, _costs, _fold_mean, _window_counts, _window_sums
 from .online import RecordColumns, RunReport
 
 __all__ = [
@@ -64,32 +64,26 @@ def aggregate_window_series(
     """Average the per-run sliding-window series index by index.
 
     Window precision is undefined when a window holds no classified trials;
-    such runs are excluded from that index's mean and counted. Runs are
-    added one after another in run order, so every mean is the same float
-    as a plain sum over runs.
+    such runs are excluded from that index's mean and counted. Every mean
+    is a left fold over runs in run order (``metrics._fold_mean``).
     """
     lengths = {max(len(report.records) - window + 1, 0) for report in reports}
     if len(lengths) > 1:
         raise ValueError("runs produced window series of different lengths")
-    n_windows = lengths.pop() if lengths else 0
-    # Rows: precision sum over defined runs, defined runs, uncertain fraction, cycle cost.
-    sums = np.zeros((4, n_windows))
+    per_run = []
     for report in reports:
         tp, fp, ver = _window_counts(report.records, window)
-        defined = tp + fp > 0
-        sums += (
-            np.where(defined, tp / np.maximum(tp + fp, 1), 0.0),
-            defined,
-            ver / window,
-            _window_sums(_costs(report.records, tm), window) / window,
-        )
-    precision, runs, uncertain, cost = sums
-    n_runs = len(reports)
+        per_run.append((tp, tp + fp, ver, _window_sums(_costs(report.records, tm), window)))
+    # (quantity, run, window index); an empty report list has no windows.
+    tp, classified, verified, costs = np.array(per_run, dtype=float).reshape(
+        len(reports), 4, lengths.pop() if lengths else 0
+    ).transpose(1, 0, 2)
+    precision, defined_runs = _fold_mean(tp / np.maximum(classified, 1), classified > 0)
+    uncertain, _ = _fold_mean(verified / window)
+    cost, _ = _fold_mean(costs / window)
     return [
-        WindowAggregate(window - 1 + j, p / r if r else None, int(r), u / n_runs, c / n_runs)
-        for j, (p, r, u, c) in enumerate(
-            zip(precision.tolist(), runs.tolist(), uncertain.tolist(), cost.tolist())
-        )
+        WindowAggregate(window - 1 + j, *point)
+        for j, point in enumerate(zip(precision, defined_runs, uncertain, cost))
     ]
 
 

@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+# A finite trace near the float range can overflow while it is smoothed or
+# down-sampled; every entry point words that one way.
+_OVERFLOW = "trace overflows the float range when preprocessed"
+
+
 def _as_finite_1d(values, what: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -150,13 +155,20 @@ def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceT
     first/last full window is fitted once and the polynomial evaluated at the
     boundary offsets, so any polynomial of degree <= ``order`` passes through
     the filter unchanged at every index. Output length equals input length.
-    The filter is a fixed projection matrix, cached per (window, order).
+    The filter is a fixed projection matrix, cached per (window, order). A
+    trace whose smoothing overflows raises ``ValueError``, without numpy
+    warnings.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be an odd positive integer")
     if order < 0 or order >= window:
         raise ValueError("order must satisfy 0 <= order < window")
-    return ForceTrace(_smooth(trace.samples, window, order), trace.sample_rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        smoothed = _smooth(trace.samples, window, order)
+    try:
+        return ForceTrace(smoothed, trace.sample_rate)
+    except ValueError:
+        raise ValueError(_OVERFLOW) from None
 
 
 def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> FeatureVector:
@@ -177,7 +189,14 @@ def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) ->
     """Smooth then down-sample: the full trace-to-feature pipeline.
 
     Equal, bit for bit, to ``downsample_mean(savgol_smooth(trace, ...), ...)``.
+    A trace whose smoothing or down-sampling overflows raises the same
+    ``ValueError`` as ``savgol_smooth``, without numpy warnings.
     """
-    smoothed = _smooth(trace.samples, cfg.sg_window, cfg.sg_order)
-    rows = _windows(smoothed, cfg.ds_window, cfg.ds_stride)
-    return FeatureVector(np.add.reduce(rows, axis=1) / cfg.ds_window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        smoothed = _smooth(trace.samples, cfg.sg_window, cfg.sg_order)
+        rows = _windows(smoothed, cfg.ds_window, cfg.ds_stride)
+        values = np.add.reduce(rows, axis=1) / cfg.ds_window
+    try:
+        return FeatureVector(values)
+    except ValueError:
+        raise ValueError(_OVERFLOW) from None

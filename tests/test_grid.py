@@ -23,6 +23,14 @@ from forceknn.online import LabeledTrial, LoopConfig
 from forceknn.signal import ForceTrace, PreprocessConfig, preprocess
 
 
+def left_fold(values):
+    """Plain left-to-right float sum: the reference order for seed means."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def static_cell_oracle(trials, seed, fraction, k, metric, l_value):
     """Recompute one static cell with the public classify pipeline."""
     n = len(trials)
@@ -122,14 +130,18 @@ class TestStaticGrid:
         expected_precision = tp / (tp + fp) if tp + fp else None
         assert row.precision == expected_precision
 
-    def test_multi_seed_cells_average_the_oracle(self, trials):
+    def test_multi_seed_cells_average_the_oracle(self):
         grid = GridSpec(
             k_values=(3, 7),
             metrics=(EUCLIDEAN,),
             l_values=(50.0, 100.0),
             train_fractions=(0.5, 1.0),
         )
-        seeds = (0, 1, 2)
+        # Ten seeds, since numpy's unrolled sum reorders from eight values on.
+        # On this dataset some cell's mean changes when the seeds are added in
+        # reverse, pairwise or compensated, so the exact check pins the order.
+        trials = gen_dataset(40, 40, rng_seed=7)
+        seeds = tuple(range(10))
         rows = static_grid(trials, grid, seeds=seeds)
         assert len(rows) == 8
         for row in rows:
@@ -137,14 +149,17 @@ class TestStaticGrid:
                 static_cell_oracle(trials, s, row.train_fraction, row.k, EUCLIDEAN, row.l_value)
                 for s in seeds
             ]
-            assert row.tp == pytest.approx(sum(c[0] for c in per_seed) / len(seeds))
-            assert row.fn == pytest.approx(sum(c[3] for c in per_seed) / len(seeds))
+            assert (row.tp, row.fp, row.tn, row.fn) == tuple(
+                left_fold(c[i] for c in per_seed) / len(seeds) for i in range(4)
+            )
+            uncertain = [100.0 * c[4] / c[5] for c in per_seed]
+            assert row.uncertain_pct == left_fold(uncertain) / len(seeds)
             precisions = [c[0] / (c[0] + c[1]) for c in per_seed if c[0] + c[1] > 0]
-            expected = sum(precisions) / len(precisions) if precisions else None
-            if expected is None:
-                assert row.precision is None
-            else:
-                assert row.precision == pytest.approx(expected)
+            recalls = [c[0] / (c[0] + c[3]) for c in per_seed if c[0] + c[3] > 0]
+            assert row.precision == (
+                left_fold(precisions) / len(precisions) if precisions else None
+            )
+            assert row.recall == (left_fold(recalls) / len(recalls) if recalls else None)
 
     def test_zero_norm_trial_follows_the_classify_rules(self, trials):
         # an all-zero trace abstains as a query and sits at cosine distance 1
@@ -347,14 +362,16 @@ class TestStaticGridMatchesClassify:
             n = len(cells)
             assert row.status == "ok"
             assert (row.tp, row.fp, row.tn, row.fn) == tuple(
-                sum(cell[i] for cell in cells) / n for i in range(4)
+                left_fold(cell[i] for cell in cells) / n for i in range(4)
             )
             uncertain = [100.0 * cell[4] / cell[5] for cell in cells]
-            assert row.uncertain_pct == sum(uncertain) / n
+            assert row.uncertain_pct == left_fold(uncertain) / n
             precisions = [tp / (tp + fp) for tp, fp, *_ in cells if tp + fp]
             recalls = [tp / (tp + fn) for tp, _, _, fn, *_ in cells if tp + fn]
-            assert row.precision == (sum(precisions) / len(precisions) if precisions else None)
-            assert row.recall == (sum(recalls) / len(recalls) if recalls else None)
+            assert row.precision == (
+                left_fold(precisions) / len(precisions) if precisions else None
+            )
+            assert row.recall == (left_fold(recalls) / len(recalls) if recalls else None)
 
 
 class TestOnlineGrid:

@@ -14,6 +14,7 @@ from forceknn.metrics import (
     ConfusionCounts,
     ConfusionMode,
     TimeModel,
+    _fold_mean,
     confusion,
     cycle_time,
     cycle_time_total,
@@ -24,6 +25,14 @@ from forceknn.metrics import (
     verification_savings,
 )
 from forceknn.online import LoopConfig, Phase, RecordColumns, RunReport, TrialRecord
+
+
+def left_fold(values):
+    """Plain left-to-right float sum: the reference order for run means."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def record(predicted, truth, phase=Phase.CLASSIFIED, index=0):
@@ -278,23 +287,42 @@ class TestSummarizeRuns:
         reports = [report_from_records(random_records(rng, 40)) for _ in range(30)]
         row = summarize_runs(reports)
         per_run = [tally_oracle(r.records, ConfusionMode.CLASSIFIER_ONLY) for r in reports]
-        assert row.mean_tp == pytest.approx(sum(t[0] for t in per_run) / 30)
-        assert row.mean_fp == pytest.approx(sum(t[1] for t in per_run) / 30)
-        assert row.mean_tn == pytest.approx(sum(t[2] for t in per_run) / 30)
-        assert row.mean_fn == pytest.approx(sum(t[3] for t in per_run) / 30)
-        assert row.mean_uncertain == pytest.approx(sum(t[4] for t in per_run) / 30)
+        assert row.mean_tp == left_fold(t[0] for t in per_run) / 30
+        assert row.mean_fp == left_fold(t[1] for t in per_run) / 30
+        assert row.mean_tn == left_fold(t[2] for t in per_run) / 30
+        assert row.mean_fn == left_fold(t[3] for t in per_run) / 30
+        assert row.mean_uncertain == left_fold(t[4] for t in per_run) / 30
         run_precisions = [t[0] / (t[0] + t[1]) for t in per_run if t[0] + t[1] > 0]
-        assert row.mean_precision == pytest.approx(sum(run_precisions) / len(run_precisions))
-        assert row.pooled_precision == pytest.approx(
-            row.mean_tp / (row.mean_tp + row.mean_fp)
-        )
-        assert row.mean_verification_count == pytest.approx(
-            sum(r.verified_count for r in reports) / 30
-        )
+        assert row.mean_precision == left_fold(run_precisions) / len(run_precisions)
+        run_recalls = [t[0] / (t[0] + t[3]) for t in per_run if t[0] + t[3] > 0]
+        assert row.mean_recall == left_fold(run_recalls) / len(run_recalls)
+        assert row.pooled_precision == row.mean_tp / (row.mean_tp + row.mean_fp)
+        assert row.mean_verification_count == left_fold(r.verified_count for r in reports) / 30
 
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError):
             summarize_runs([])
+
+
+class TestFoldMean:
+    def test_adds_left_to_right(self):
+        # Python 3.12's compensated sum gives 2.0 / 4 here.
+        mean, count = _fold_mean([1.0, 1e100, 1.0, -1e100])
+        assert (mean, count) == (0.0, 4)
+        assert type(mean) is float and type(count) is int
+        # Left to right the sum is 1.0; numpy's pairwise sum gives 0.0 and
+        # Python 3.12's sum 2.0.
+        assert _fold_mean([1e100, 1.0, -1e100, 1.0, 0.0, 0.0, 0.0, 0.0]) == (0.125, 8)
+
+    def test_skips_undefined_entries_and_counts_the_rest(self):
+        values = [[1.0, np.nan], [np.nan, np.inf], [4.0, 2.0]]
+        defined = [[True, False], [False, False], [True, False]]
+        assert _fold_mean(values, defined) == ([2.5, None], [2, 0])
+
+    def test_all_undefined_runs_give_none(self):
+        undefined = report_from_records([record(Label.NEGATIVE, Label.NEGATIVE)])
+        row = summarize_runs([undefined, undefined])
+        assert row.mean_precision is None and row.precision_undefined_runs == 2
 
 
 @st.composite

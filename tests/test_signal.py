@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -340,3 +341,17 @@ class TestPreprocess:
     def test_feature_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FeatureVector(np.array([1.0, np.nan]))
+
+    def test_overflow_is_one_error_without_warnings(self):
+        # Finite samples: 1.7e308 overflows while smoothed, 1e308 only while down-sampled.
+        cases = [
+            (preprocess, 1.7e308),
+            (savgol_smooth, 1.7e308),
+            (preprocess, 1e308),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step, value in cases:
+                with pytest.raises(ValueError) as error:
+                    step(ForceTrace(np.full(1000, value)))
+                assert str(error.value) == "trace overflows the float range when preprocessed"
