@@ -1,16 +1,20 @@
 """Command-line interface: dataset generation, online replay and grid search.
 
 Exit codes: 0 success, 2 bad arguments, 3 data error, 4 infeasible config.
-Every flag can also be set in a ``key = value`` config file (``--config``);
-command-line flags win over the file, which wins over built-in defaults.
+Each subcommand declares its settings once, in an options table: each key
+is a flag, a ``key = value`` config-file key (``--config``) and a line of the
+outputs' config echo. Command-line flags win over the file, which wins over
+the defaults, most of them read from the dataclasses they configure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .classifier import Metric
@@ -18,7 +22,7 @@ from .datagen import GenParams, gen_dataset
 from .dataset_io import DatasetFormatError, read_dataset, write_dataset
 from .grid import GridRow, GridSpec, online_grid, static_grid
 from .metrics import TimeModel, summarize_runs
-from .online import LoopConfig, TrialDataError, run_replicated
+from .online import LoopConfig, TrialDataError, _check_runs, run_replicated
 from .reports import (
     aggregate_window_series,
     write_grid_csv,
@@ -50,100 +54,101 @@ class _UsageError(Exception):
     pass
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+class _Option(NamedTuple):
+    """One setting; its key names the flag (``--key-with-dashes``), config key and echo line."""
+
+    convert: Callable[[str], Any]
+    default: Any
+    help: str
+
+
+_LOOP = LoopConfig()
+_PREPROCESS = PreprocessConfig()
+_GEN = GenParams()
+_GRID = GridSpec()
+
+# The options of each subcommand, in echo order.
+_GEN_OPTIONS = {
+    "rng_seed": _Option(int, 0, "seed of the generator"),
+    "n_pos": _Option(int, 297, "positive trials"),
+    "n_neg": _Option(int, 407, "negative trials"),
+    "n_samples": _Option(int, _GEN.n_samples, "samples per trace"),
+    "sample_rate": _Option(float, _GEN.sample_rate, "sample rate in Hz"),
+    "noise_std": _Option(float, _GEN.noise_std, "standard deviation of the noise in N"),
+    "outlier_prob": _Option(float, _GEN.outlier_probability, "chance of an amplified-peak trial"),
+    "outlier_scale": _Option(float, _GEN.outlier_scale, "peak factor of an outlier trial"),
+}
+
+_LOOP_OPTIONS = {
+    "rng_seed": _Option(int, 0, "base seed of the runs' shuffles"),
+    "k": _Option(_int_list, (_LOOP.k,), "comma-separated k values"),
+    "metric": _Option(_metric_list, (_LOOP.metric,),
+                      "comma-separated: cosine, euclidean, manhattan, minkowski[:p]"),
+    "l_value": _Option(_float_list, (100.0, 50.0),
+                       "comma-separated minimum-agreement percentages in [50, 100]"),
+    "retrain_interval": _Option(int, _LOOP.retrain_interval, "trials between snapshot refreshes"),
+    "seed_size": _Option(int, _LOOP.seed_size, "oracle-labelled trials before classifying"),
+    "runs": _Option(int, 30, "number of shuffled runs"),
+    "sg_window": _Option(int, _PREPROCESS.sg_window, "smoothing window (odd)"),
+    "sg_order": _Option(int, _PREPROCESS.sg_order, "smoothing polynomial order"),
+    "ds_window": _Option(int, _PREPROCESS.ds_window, "down-sampling window"),
+    "ds_stride": _Option(int, _PREPROCESS.ds_stride, "down-sampling stride"),
+}
+
+_GRID_OPTIONS = {
+    **_LOOP_OPTIONS,
+    "k": _LOOP_OPTIONS["k"]._replace(default=_GRID.k_values),
+    "metric": _LOOP_OPTIONS["metric"]._replace(default=_GRID.metrics),
+    "l_value": _LOOP_OPTIONS["l_value"]._replace(default=_GRID.l_values),
+    "train_fraction": _Option(_float_list, _GRID.train_fractions,
+                              "comma-separated fractions in (0, 1] (static mode)"),
+    "static_seeds": _Option(int, 5, "number of split seeds to average (static mode)"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -> None:
+    parser.add_argument("--config", help="key = value file supplying flag defaults")
+    for key, option in options.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            type=option.convert,
+            help=f"{option.help} (default {_echo_value(option.default)})",
+        )
+
+
+def _load_config(path: str, options: dict[str, _Option]) -> dict:
+    values = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise _UsageError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in options:
+            raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        try:
+            values[key] = options[key].convert(value)
+        except ValueError:
+            raise _UsageError(f"{path}:{line_no}: bad config value for {key}: {value!r}") from None
     return values
 
 
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
+def _resolve(args: argparse.Namespace, options: dict[str, _Option]) -> dict:
     """Merge flag values, config-file values and defaults for one subcommand.
 
-    Every subcommand takes ``--rng-seed``; a negative one is rejected here,
-    before any file is read or written.
+    The result holds every option in table order. Every subcommand takes
+    ``--rng-seed``; a negative one is rejected here, before any file is read
+    or written.
     """
-    config = _load_config(args.config) if args.config else {}
-    known = set(spec)
-    for key in config:
-        if key not in known:
-            raise _UsageError(f"unknown config key {key!r}")
-    resolved = {}
-    for key, (convert, default) in spec.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            try:
-                resolved[key] = convert(config[key])
-            except ValueError:
-                raise _UsageError(f"bad config value for {key}: {config[key]!r}") from None
-        else:
-            resolved[key] = default
+    resolved = {key: option.default for key, option in options.items()}
+    if args.config:
+        resolved.update(_load_config(args.config, options))
+    resolved.update((key, getattr(args, key)) for key in options if getattr(args, key) is not None)
     if resolved["rng_seed"] < 0:
         raise _UsageError(f"--rng-seed must be non-negative, got {resolved['rng_seed']}")
     return resolved
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value file supplying flag defaults")
-    parser.add_argument("--rng-seed", dest="rng_seed", type=int)
-
-
-def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_int_list, help="comma-separated k values")
-    parser.add_argument("--metric", type=_metric_list,
-                        help="comma-separated: cosine, euclidean, manhattan, minkowski[:p]")
-    parser.add_argument("--l-value", dest="l_value", type=_float_list,
-                        help="comma-separated minimum-agreement percentages in [50, 100]")
-    parser.add_argument("--retrain-interval", dest="retrain_interval", type=int)
-    parser.add_argument("--seed-size", dest="seed_size", type=int)
-    parser.add_argument("--runs", type=int, help="number of shuffled runs")
-    parser.add_argument("--sg-window", dest="sg_window", type=int)
-    parser.add_argument("--sg-order", dest="sg_order", type=int)
-    parser.add_argument("--ds-window", dest="ds_window", type=int)
-    parser.add_argument("--ds-stride", dest="ds_stride", type=int)
-
-
-_GEN_SPEC = {
-    "rng_seed": (int, 0),
-    "n_pos": (int, 297),
-    "n_neg": (int, 407),
-    "n_samples": (int, 1000),
-    "sample_rate": (float, 500.0),
-    "noise_std": (float, None),
-    "outlier_prob": (float, None),
-    "outlier_scale": (float, None),
-}
-
-_LOOP_SPEC = {
-    "rng_seed": (int, 0),
-    "k": (_int_list, [11]),
-    "metric": (_metric_list, [Metric.parse("cosine")]),
-    "l_value": (_float_list, [100.0, 50.0]),
-    "retrain_interval": (int, 20),
-    "seed_size": (int, 22),
-    "runs": (int, 30),
-    "sg_window": (int, 15),
-    "sg_order": (int, 2),
-    "ds_window": (int, 10),
-    "ds_stride": (int, 10),
-}
-
-_GRID_SPEC = {
-    **_LOOP_SPEC,
-    "k": (_int_list, None),
-    "metric": (_metric_list, None),
-    "l_value": (_float_list, None),
-    "train_fraction": (_float_list, None),
-    "static_seeds": (int, 5),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,35 +160,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset file")
-    _add_common(gen)
     gen.add_argument("--out", required=True, help="dataset file to write")
-    gen.add_argument("--n-pos", dest="n_pos", type=int, help="positive trials (default 297)")
-    gen.add_argument("--n-neg", dest="n_neg", type=int, help="negative trials (default 407)")
-    gen.add_argument("--n-samples", dest="n_samples", type=int)
-    gen.add_argument("--sample-rate", dest="sample_rate", type=float)
-    gen.add_argument("--noise-std", dest="noise_std", type=float)
-    gen.add_argument("--outlier-prob", dest="outlier_prob", type=float)
-    gen.add_argument("--outlier-scale", dest="outlier_scale", type=float)
     gen.add_argument("--force", action="store_true", help="overwrite an existing file")
+    _add_options(gen, _GEN_OPTIONS)
     gen.set_defaults(func=_cmd_gen)
 
     online = sub.add_parser("online", help="replay the online self-supervised loop")
-    _add_common(online)
     online.add_argument("--dataset", required=True, help="dataset file to read")
     online.add_argument("--out", required=True, help="output directory")
-    _add_loop_flags(online)
+    _add_options(online, _LOOP_OPTIONS)
     online.set_defaults(func=_cmd_online)
 
     grid = sub.add_parser("grid", help="sweep k / metric / l-value / training size")
-    _add_common(grid)
     grid.add_argument("--dataset", required=True, help="dataset file to read")
     grid.add_argument("--out", required=True, help="CSV file to write")
     grid.add_argument("--mode", choices=("static", "online"), default="static")
-    _add_loop_flags(grid)
-    grid.add_argument("--train-fraction", dest="train_fraction", type=_float_list,
-                      help="comma-separated fractions in (0, 1] (static mode)")
-    grid.add_argument("--static-seeds", dest="static_seeds", type=int,
-                      help="number of split seeds to average (static mode)")
+    _add_options(grid, _GRID_OPTIONS)
     grid.set_defaults(func=_cmd_grid)
     return parser
 
@@ -195,19 +187,15 @@ def _single(values: list, what: str):
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _GEN_SPEC)
-    param_overrides = {
-        "n_samples": opts["n_samples"],
-        "sample_rate": opts["sample_rate"],
-    }
-    if opts["noise_std"] is not None:
-        param_overrides["noise_std"] = opts["noise_std"]
-    if opts["outlier_prob"] is not None:
-        param_overrides["outlier_probability"] = opts["outlier_prob"]
-    if opts["outlier_scale"] is not None:
-        param_overrides["outlier_scale"] = opts["outlier_scale"]
+    opts = _resolve(args, _GEN_OPTIONS)
     try:
-        params = GenParams(**param_overrides)
+        params = GenParams(
+            n_samples=opts["n_samples"],
+            sample_rate=opts["sample_rate"],
+            noise_std=opts["noise_std"],
+            outlier_probability=opts["outlier_prob"],
+            outlier_scale=opts["outlier_scale"],
+        )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     trials = gen_dataset(opts["n_pos"], opts["n_neg"], params, opts["rng_seed"])
@@ -223,12 +211,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _preprocess_config(opts: dict) -> PreprocessConfig:
-    return PreprocessConfig(
-        sg_window=opts["sg_window"],
-        sg_order=opts["sg_order"],
-        ds_window=opts["ds_window"],
-        ds_stride=opts["ds_stride"],
-    )
+    return PreprocessConfig(**{f.name: opts[f.name] for f in dataclasses.fields(PreprocessConfig)})
 
 
 def _loop_config(opts: dict, k: int, metric: Metric, l_value: float) -> LoopConfig:
@@ -239,27 +222,22 @@ def _loop_config(opts: dict, k: int, metric: Metric, l_value: float) -> LoopConf
         retrain_interval=opts["retrain_interval"],
         seed_size=opts["seed_size"],
         preprocess=_preprocess_config(opts),
-        rng_seed=opts["rng_seed"],
-        n_runs=opts["runs"],
     )
 
 
-def _echo_pairs(opts: dict, dataset: str, extra: dict | None = None) -> dict:
-    pairs = {"forceknn_version": __version__, "dataset": dataset}
-    pairs.update({key: _echo_value(value) for key, value in opts.items()})
-    if extra:
-        pairs.update(extra)
-    return pairs
+def _echo_pairs(opts: dict, dataset: str, extra: dict) -> dict:
+    echoed = {key: _echo_value(value) for key, value in opts.items()}
+    return {"forceknn_version": __version__, "dataset": dataset, **echoed, **extra}
 
 
 def _echo_value(value):
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return ",".join(str(v) for v in value)
     return value
 
 
 def _cmd_online(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _LOOP_SPEC)
+    opts = _resolve(args, _LOOP_OPTIONS)
     k = _single(opts["k"], "k value")
     metric = _single(opts["metric"], "metric")
     records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
@@ -267,6 +245,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
         raise _UsageError(f"l-values {opts['l_value']} would share a records file name")
     # An infeasible config exits before the dataset is read or the directory made.
     configs = [_loop_config(opts, k, metric, l_value) for l_value in opts["l_value"]]
+    _check_runs(opts["runs"], opts["rng_seed"])
     trials = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,7 +254,8 @@ def _cmd_online(args: argparse.Namespace) -> int:
     summary_rows = []
     window_series = []
     for cfg, records_name in zip(configs, records_names):
-        reports = run_replicated(trials, cfg, feature_cache=distances)
+        reports = run_replicated(trials, cfg, opts["runs"], opts["rng_seed"],
+                                 feature_cache=distances)
         summary_rows.append(summarize_runs(reports))
         window_series.append((cfg.l_value, aggregate_window_series(reports, tm)))
         records_path = out_dir / records_name
@@ -296,16 +276,13 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _GRID_SPEC)
-    defaults = GridSpec()
+    opts = _resolve(args, _GRID_OPTIONS)
     try:
         grid = GridSpec(
-            k_values=tuple(opts["k"]) if opts["k"] else defaults.k_values,
-            metrics=tuple(opts["metric"]) if opts["metric"] else defaults.metrics,
-            l_values=tuple(opts["l_value"]) if opts["l_value"] else defaults.l_values,
-            train_fractions=tuple(opts["train_fraction"])
-            if opts["train_fraction"]
-            else defaults.train_fractions,
+            k_values=tuple(opts["k"]),
+            metrics=tuple(opts["metric"]),
+            l_values=tuple(opts["l_value"]),
+            train_fractions=tuple(opts["train_fraction"]),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -320,15 +297,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     else:
         # k=1 satisfies any seed_size; online_grid swaps in each cell's k.
         base_cfg = _loop_config(opts, k=1, metric=grid.metrics[0], l_value=grid.l_values[0])
-        sweep = functools.partial(online_grid, grid=grid, base_cfg=base_cfg)
+        _check_runs(opts["runs"], opts["rng_seed"])
+        sweep = functools.partial(online_grid, grid=grid, base_cfg=base_cfg,
+                                  n_runs=opts["runs"], base_seed=opts["rng_seed"])
     trials = read_dataset(args.dataset)
     rows: list[GridRow] = sweep(trials)
-    opts.update(
-        k=list(grid.k_values),
-        metric=list(grid.metrics),
-        l_value=list(grid.l_values),
-        train_fraction=list(grid.train_fractions),
-    )
     echo = _echo_pairs(opts, args.dataset, {"mode": args.mode, "n_trials": len(trials)})
     write_grid_csv(args.out, rows, echo)
     print(f"wrote {args.out} ({len(rows)} cells)")

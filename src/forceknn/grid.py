@@ -203,13 +203,14 @@ def static_grid(
 
 def online_grid(
     trials: Sequence[LabeledTrial],
-    grid: GridSpec = GridSpec(),
-    base_cfg: LoopConfig = LoopConfig(),
-    base_seed: int | None = None,
+    grid: GridSpec,
+    base_cfg: LoopConfig,
+    n_runs: int,
+    base_seed: int = 0,
 ) -> list[GridRow]:
     """Replay the online loop for every (k, metric, l) cell.
 
-    Each cell averages ``base_cfg.n_runs`` shuffled runs; the training
+    Each cell averages ``n_runs`` shuffled runs from ``base_seed``; the training
     fraction axis does not apply (the whole stream is consumed) and is
     reported as 1.0. Cells whose config is unsatisfiable (seed phase smaller
     than k) become infeasible rows.
@@ -227,7 +228,7 @@ def online_grid(
                 except ValueError:
                     rows.append(GridRow(k, str(metric), l_value, 1.0, status="infeasible"))
                     continue
-                reports = run_replicated(trials, cfg, base_seed, feature_cache=distances)
+                reports = run_replicated(trials, cfg, n_runs, base_seed, feature_cache=distances)
                 summary = summarize_runs(reports)
                 rows.append(
                     GridRow(

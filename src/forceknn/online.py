@@ -100,8 +100,6 @@ class LoopConfig:
     seed_size: int = 22
     seed_min_positive_fraction: float = 0.5
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    rng_seed: int = 0
-    n_runs: int = 30
 
     def __post_init__(self) -> None:
         min_agreeing_count(self.k, self.l_value)  # validates k and l_value
@@ -111,10 +109,6 @@ class LoopConfig:
             raise ValueError(f"seed_size ({self.seed_size}) must be >= k ({self.k})")
         if not 0.0 < self.seed_min_positive_fraction <= 1.0:
             raise ValueError("seed_min_positive_fraction must lie in (0, 1]")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
 
 
 # Phase codes of RecordColumns.phase: code i is _PHASES[i].
@@ -304,20 +298,20 @@ def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np
 
 
 def _distances(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
-    """The cached id-to-row map and distances for ``cfg``; new ones if the map lacks a trial."""
+    """The cached trial-to-row map and distances for ``cfg``; new ones if the map lacks a trial."""
     key = (cfg.metric, cfg.preprocess)
     entry = cache.get(key)
-    if entry is None or not all(trial.id in entry[0] for trial in trials):
+    if entry is None or not all(trial in entry[0] for trial in trials):
         features = _feature_matrix(trials, cfg.preprocess)
-        row_of = {trial.id: i for i, trial in enumerate(trials)}
+        row_of = {trial: i for i, trial in enumerate(trials)}  # two datasets may share ids
         entry = cache[key] = row_of, _Distances(features, cfg.metric)
     return entry
 
 
 def run_online(
     trials: list[LabeledTrial],
-    cfg: LoopConfig = LoopConfig(),
-    rng_seed: int | None = None,
+    cfg: LoopConfig,
+    rng_seed: int = 0,
     *,
     feature_cache: dict | None = None,
 ) -> RunReport:
@@ -350,10 +344,10 @@ def run_online(
         raise ValueError("trial stream must contain both classes")
     ids = tuple(trial.id for trial in trials)
     if len(set(ids)) != len(ids):
-        raise ValueError("trial ids must be unique")  # the distance rows key on them
+        raise ValueError("trial ids must be unique")  # the records name trials by id
 
     row_of, distances = _distances(trials, cfg, {} if feature_cache is None else feature_cache)
-    rows = np.array([row_of[trial_id] for trial_id in ids])
+    rows = np.array([row_of[trial] for trial in trials])
     # The oracle is exact, so a dataset entry's label is its trial's truth.
     row_positive = np.zeros(len(row_of), dtype=bool)
     row_positive[rows] = positive
@@ -393,7 +387,7 @@ def run_online(
         records=RecordColumns(ids, phase, predicted, positive),
         final_dataset_size=len(dataset),
         config=cfg,
-        rng_seed=cfg.rng_seed if rng_seed is None else rng_seed,
+        rng_seed=rng_seed,
         oracle_calls=len(dataset),  # one oracle answer per dataset entry
     )
 
@@ -402,30 +396,36 @@ def _run_seed(base_seed: int, run_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, run_index]).generate_state(1)[0])
 
 
+def _check_runs(n_runs: int, base_seed: int) -> None:
+    """Raise ValueError unless ``run_replicated`` can make ``n_runs`` runs from ``base_seed``."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
+
+
 def run_replicated(
     trials: list[LabeledTrial],
-    cfg: LoopConfig = LoopConfig(),
-    base_seed: int | None = None,
+    cfg: LoopConfig,
+    n_runs: int,
+    base_seed: int = 0,
     *,
     feature_cache: dict | None = None,
 ) -> list[RunReport]:
-    """Run the loop ``cfg.n_runs`` times over per-run shuffles of ``trials``.
+    """Run the loop ``n_runs`` times over per-run shuffles of ``trials``.
 
     Run i shuffles with a seed derived deterministically from
     ``(base_seed, i)``, so replays are reproducible and runs are independent.
-    ``base_seed`` defaults to ``cfg.rng_seed``. Every run ranks over the
-    distance rows kept in ``feature_cache``, so a row computed by one run
-    serves the later ones (see ``run_online``; up to 8 * n**2 bytes per
-    metric and preprocessing config).
+    Every run ranks over the distance rows kept in ``feature_cache``, so a
+    row computed by one run serves the later ones (see ``run_online``; up to
+    8 * n**2 bytes per metric and preprocessing config).
     """
+    _check_runs(n_runs, base_seed)
     trials = list(trials)
-    base = cfg.rng_seed if base_seed is None else base_seed
-    if base < 0:
-        raise ValueError("base_seed must be non-negative")
     cache = feature_cache if feature_cache is not None else {}
     reports = []
-    for run_index in range(cfg.n_runs):
-        run_seed = _run_seed(base, run_index)
+    for run_index in range(n_runs):
+        run_seed = _run_seed(base_seed, run_index)
         order = np.random.default_rng(run_seed).permutation(len(trials))
         shuffled = [trials[j] for j in order]
         reports.append(run_online(shuffled, cfg, rng_seed=run_seed, feature_cache=cache))

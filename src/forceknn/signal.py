@@ -147,6 +147,15 @@ def _smooth(x: np.ndarray, window: int, order: int) -> np.ndarray:
     return smoothed
 
 
+def _window_means(x: np.ndarray, window: int, stride: int) -> FeatureVector:
+    """Window means of ``x`` as features; overflow raises ``_OVERFLOW``. Callers silence numpy."""
+    values = np.add.reduce(_windows(x, window, stride), axis=1) / window
+    try:
+        return FeatureVector(values)
+    except ValueError:
+        raise ValueError(_OVERFLOW) from None
+
+
 def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceTrace:
     """Smooth a trace with a least-squares polynomial (Savitzky-Golay) filter.
 
@@ -176,13 +185,16 @@ def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> Fe
 
     Output j is the arithmetic mean of samples ``[j*stride, j*stride+window)``;
     trailing samples that do not fill a window are dropped, giving
-    ``floor((n - window) / stride) + 1`` values.
+    ``floor((n - window) / stride) + 1`` values. A trace whose window sums
+    overflow raises the same ``ValueError`` as ``savgol_smooth``, without
+    numpy warnings.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    return FeatureVector(np.add.reduce(_windows(trace.samples, window, stride), axis=1) / window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _window_means(trace.samples, window, stride)
 
 
 def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) -> FeatureVector:
@@ -194,9 +206,4 @@ def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) ->
     """
     with np.errstate(over="ignore", invalid="ignore"):
         smoothed = _smooth(trace.samples, cfg.sg_window, cfg.sg_order)
-        rows = _windows(smoothed, cfg.ds_window, cfg.ds_stride)
-        values = np.add.reduce(rows, axis=1) / cfg.ds_window
-    try:
-        return FeatureVector(values)
-    except ValueError:
-        raise ValueError(_OVERFLOW) from None
+        return _window_means(smoothed, cfg.ds_window, cfg.ds_stride)

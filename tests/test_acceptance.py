@@ -175,12 +175,12 @@ def test_criterion_5_online_loop_accounting():
     ok = True
     for seed in range(50):
         trials = fk.gen_dataset(18, 22, rng_seed=seed)
-        report = fk.run_online(trials, fk.LoopConfig(l_value=100.0, n_runs=1))
+        report = fk.run_online(trials, fk.LoopConfig(l_value=100.0))
         seeds = sum(1 for r in report.records if r.phase is Phase.SEED)
         fallbacks = sum(1 for r in report.records if r.phase is Phase.FALLBACK)
         ok &= report.final_dataset_size == seeds + fallbacks
         ok &= report.oracle_calls == report.verified_count
-        low = fk.run_online(trials, fk.LoopConfig(l_value=50.0, n_runs=1))
+        low = fk.run_online(trials, fk.LoopConfig(l_value=50.0))
         ok &= low.fallback_count == 0
         ok &= low.oracle_calls == low.seed_count
     _report(5, "dataset growth accounting, no-peek and l=50 zero fallbacks (50 streams)", ok)
@@ -215,7 +215,7 @@ def test_criterion_7_qualitative_trends():
     trials = fk.gen_dataset(297, 407, rng_seed=0)
     cache: dict = {}
     reports = {
-        l: fk.run_replicated(trials, fk.LoopConfig(l_value=l, n_runs=30), feature_cache=cache)
+        l: fk.run_replicated(trials, fk.LoopConfig(l_value=l), 30, feature_cache=cache)
         for l in (100.0, 50.0)
     }
     summary_100 = fk.summarize_runs(reports[100.0])

@@ -38,6 +38,12 @@ def test_benchmark_tracer_finds_every_patch_target():
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("command", ["gen", "online", "grid"])
+def test_help_exits_zero(capsys, command):
+    assert main([command, "--help"]) == EXIT_OK
+    assert "--rng-seed" in capsys.readouterr().out
+
+
 def run_gen(tmp_path, name="data.csv", n_pos=14, n_neg=16, extra=()):
     path = tmp_path / name
     code = main(
@@ -302,6 +308,16 @@ class TestGrid:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis", ["--k", "--metric", "--l-value", "--train-fraction"])
+    def test_empty_axis_is_usage_error_before_reading(self, tmp_path, capsys, axis):
+        out = tmp_path / "grid.csv"
+        # the dataset does not exist: reading it first would exit with EXIT_DATA
+        code = main(["grid", "--dataset", str(tmp_path / "missing.csv"), "--out", str(out),
+                     axis, ""])
+        assert code == EXIT_USAGE
+        assert "every grid axis must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_online_mode_with_infeasible_k(self, tmp_path, dataset):
         out = tmp_path / "grid.csv"
         code = main(
@@ -339,7 +355,7 @@ class TestConfigFileAndExitCodes:
         rows = read_csv_rows(out2 / "summary.csv")
         assert [row["l_value"] for row in rows] == ["100.0"]
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path, dataset):
+    def test_unknown_config_key_is_usage_error(self, tmp_path, dataset, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("mystery = 7\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -347,6 +363,27 @@ class TestConfigFileAndExitCodes:
             ["online", "--dataset", str(dataset), "--out", str(out), "--config", str(config)]
         )
         assert code == EXIT_USAGE
+        assert f"error: {config}:1: unknown config key 'mystery'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["out", "dataset", "mode"])
+    def test_non_option_flag_is_unknown_config_key(self, tmp_path, dataset, capsys, key):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = x\n", encoding="utf-8")
+        code = main(["grid", "--dataset", str(dataset), "--out", str(tmp_path / "grid.csv"),
+                     "--config", str(config)])
+        assert code == EXIT_USAGE
+        assert f"{config}:1: unknown config key '{key}'" in capsys.readouterr().err
+
+    def test_bad_config_value_is_usage_error_naming_its_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("# loop settings\nruns = 2\nk = x\n", encoding="utf-8")
+        out = tmp_path / "out"
+        # the dataset does not exist: reading it first would exit with EXIT_DATA
+        code = main(["online", "--dataset", str(tmp_path / "missing.csv"), "--out", str(out),
+                     "--config", str(config)])
+        assert code == EXIT_USAGE
+        assert f"error: {config}:3: bad config value for k: 'x'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_config_line_is_usage_error(self, tmp_path, dataset):
         config = tmp_path / "bad.cfg"

@@ -382,10 +382,10 @@ class TestOnlineGrid:
         grid = GridSpec(
             k_values=(5,), metrics=(COSINE,), l_values=(100.0,), train_fractions=(1.0,)
         )
-        base_cfg = LoopConfig(k=5, seed_size=12, n_runs=3)
-        rows = online_grid(trials, grid, base_cfg)
+        base_cfg = LoopConfig(k=5, seed_size=12)
+        rows = online_grid(trials, grid, base_cfg, 3)
         assert len(rows) == 1
-        reports = run_replicated(trials, LoopConfig(k=5, seed_size=12, n_runs=3, l_value=100.0))
+        reports = run_replicated(trials, LoopConfig(k=5, seed_size=12, l_value=100.0), 3)
         summary = summarize_runs(reports)
         assert rows[0].precision == summary.mean_precision
         assert rows[0].tp == summary.mean_tp
@@ -411,16 +411,16 @@ class TestOnlineGrid:
             l_values=(60.0, 100.0),
             train_fractions=(1.0,),
         )
-        base_cfg = LoopConfig(seed_size=12, n_runs=2)
-        rows = online_grid(trials, grid, base_cfg, base_seed=4)
+        base_cfg = LoopConfig(seed_size=12)
+        rows = online_grid(trials, grid, base_cfg, 2, base_seed=4)
         # one distance matrix per metric serves all of that metric's k x l cells
         assert len(preprocessed) == len(trials) * len(grid.metrics)
         keys = [(r.k, r.metric, r.l_value) for r in rows]
         assert keys == sorted(keys) and len(keys) == 12
         for row in rows:
             metric = next(m for m in grid.metrics if str(m) == row.metric)
-            cfg = LoopConfig(k=row.k, metric=metric, l_value=row.l_value, seed_size=12, n_runs=2)
-            summary = summarize_runs(run_replicated(trials, cfg, base_seed=4))
+            cfg = LoopConfig(k=row.k, metric=metric, l_value=row.l_value, seed_size=12)
+            summary = summarize_runs(run_replicated(trials, cfg, 2, base_seed=4))
             assert row.status == "ok" and row.train_fraction == 1.0
             assert (row.precision, row.recall, row.tp, row.fp, row.tn, row.fn) == (
                 summary.mean_precision,
@@ -436,7 +436,7 @@ class TestOnlineGrid:
         grid = GridSpec(
             k_values=(5, 25), metrics=(COSINE,), l_values=(100.0,), train_fractions=(1.0,)
         )
-        rows = online_grid(trials, grid, LoopConfig(k=5, seed_size=12, n_runs=2))
+        rows = online_grid(trials, grid, LoopConfig(k=5, seed_size=12), 2)
         status = {row.k: row.status for row in rows}
         assert status[5] == "ok"
         assert status[25] == "infeasible"

@@ -239,7 +239,7 @@ class TestCycleTime:
 
 
 def report_from_records(records, l_value=100.0):
-    cfg = LoopConfig(l_value=l_value, n_runs=1)
+    cfg = LoopConfig(l_value=l_value)
     dataset_size = sum(1 for r in records if r.verified)
     return RunReport(
         records=tuple(records),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from unittest import mock
 
@@ -92,10 +91,6 @@ class TestLoopConfig:
             LoopConfig(seed_min_positive_fraction=0.0)
         with pytest.raises(ValueError):
             LoopConfig(seed_min_positive_fraction=1.5)
-        with pytest.raises(ValueError):
-            LoopConfig(n_runs=0)
-        with pytest.raises(ValueError):
-            LoopConfig(rng_seed=-1)
 
 
 class TestSeedPhase:
@@ -118,7 +113,7 @@ class TestSeedPhase:
             LabeledTrial(f"r{i}", trial.trace, trial.truth)
             for i, trial in enumerate(base * 2)
         ]
-        cfg = LoopConfig(l_value=100.0, n_runs=1)
+        cfg = LoopConfig(l_value=100.0)
         report = run_online(base + repeats, cfg)
         assert report.seed_count == 22
         assert report.verified_count == 22
@@ -131,7 +126,7 @@ class TestSeedPhase:
         negatives = [t for t in trials if t.truth is Label.NEGATIVE]
         positives = [t for t in trials if t.truth is Label.POSITIVE]
         stream = negatives[:20] + positives + negatives[20:]
-        cfg = LoopConfig(seed_size=12, n_runs=1)
+        cfg = LoopConfig(seed_size=12)
         report = run_online(stream, cfg)
         # 20 negatives precede the first positive, so the seed phase must
         # stretch to 20 + ceil(12 * 0.5) = 26 trials
@@ -141,7 +136,7 @@ class TestSeedPhase:
 
     def test_stream_exhausted_during_seeding(self):
         trials = small_stream(2, 30, seed=3)
-        cfg = LoopConfig(seed_size=12, n_runs=1)
+        cfg = LoopConfig(seed_size=12)
         with pytest.raises(ValueError, match="exhausted"):
             run_online(trials, cfg)
 
@@ -171,12 +166,10 @@ class TestRunOnline:
     def test_matches_reference_interpreter(self):
         trials = small_stream(20, 20, seed=7)
         for cfg in [
-            LoopConfig(l_value=100.0, n_runs=1),
-            LoopConfig(l_value=50.0, n_runs=1),
-            LoopConfig(l_value=80.0, retrain_interval=5, seed_size=14, n_runs=1),
-            LoopConfig(
-                k=5, metric=EUCLIDEAN, l_value=100.0, seed_size=12, retrain_interval=3, n_runs=1
-            ),
+            LoopConfig(l_value=100.0),
+            LoopConfig(l_value=50.0),
+            LoopConfig(l_value=80.0, retrain_interval=5, seed_size=14),
+            LoopConfig(k=5, metric=EUCLIDEAN, l_value=100.0, seed_size=12, retrain_interval=3),
         ]:
             report = run_online(trials, cfg)
             records, size, calls = reference_run(trials, cfg)
@@ -186,21 +179,21 @@ class TestRunOnline:
 
     def test_l50_with_odd_k_never_verifies_after_seeding(self):
         trials = small_stream(25, 25, seed=11)
-        report = run_online(trials, LoopConfig(l_value=50.0, n_runs=1))
+        report = run_online(trials, LoopConfig(l_value=50.0))
         assert report.fallback_count == 0
         assert report.verified_count == report.seed_count
 
     def test_accounting_invariants(self):
         for seed in range(5):
             trials = small_stream(18, 22, seed=seed)
-            report = run_online(trials, LoopConfig(l_value=100.0, n_runs=1))
+            report = run_online(trials, LoopConfig(l_value=100.0))
             assert report.final_dataset_size == report.seed_count + report.fallback_count
             assert report.oracle_calls == report.verified_count
             assert len(report.records) == len(trials)
 
     def test_oracle_soundness(self):
         trials = small_stream(15, 25, seed=13)
-        report = run_online(trials, LoopConfig(l_value=90.0, n_runs=1))
+        report = run_online(trials, LoopConfig(l_value=90.0))
         for record in report.records:
             if record.verified:
                 assert record.predicted is record.truth
@@ -220,7 +213,6 @@ class TestRunOnline:
             seed_size=2,
             seed_min_positive_fraction=0.5,
             retrain_interval=3,
-            n_runs=1,
             preprocess=PreprocessConfig(sg_window=1, sg_order=0, ds_window=1, ds_stride=1),
         )
         stream = [
@@ -243,14 +235,14 @@ class TestRunOnline:
 
     def test_replay_is_deterministic(self):
         trials = small_stream(14, 16, seed=21)
-        cfg = LoopConfig(l_value=100.0, n_runs=1)
+        cfg = LoopConfig(l_value=100.0)
         assert run_online(trials, cfg) == run_online(trials, cfg)
 
 
 class TestRecordColumns:
     def test_reads_like_the_tuple_of_its_records(self):
         trials = small_stream(14, 16, seed=23)
-        report = run_online(trials, LoopConfig(l_value=90.0, n_runs=1))
+        report = run_online(trials, LoopConfig(l_value=90.0))
         columns = report.records
         records = tuple(columns)
         assert isinstance(columns, RecordColumns)
@@ -279,7 +271,7 @@ class TestRecordColumns:
             TrialRecord("b", Label.NEGATIVE, Label.POSITIVE, Phase.CLASSIFIED),
             TrialRecord("c", Label.NEGATIVE, Label.NEGATIVE, Phase.FALLBACK),
         )
-        report = RunReport(records, 2, LoopConfig(n_runs=1), 0, 2)
+        report = RunReport(records, 2, LoopConfig(), 0, 2)
         assert isinstance(report.records, RecordColumns)
         assert report.records == records
         assert report.records.phase.tolist() == [0, 1, 2]
@@ -293,9 +285,9 @@ class TestRecordColumns:
 class TestRunReplicated:
     def test_same_base_seed_reproduces_reports(self):
         trials = small_stream(15, 15, seed=31)
-        cfg = LoopConfig(l_value=100.0, n_runs=3)
-        first = run_replicated(trials, cfg, base_seed=9)
-        second = run_replicated(trials, cfg, base_seed=9)
+        cfg = LoopConfig(l_value=100.0)
+        first = run_replicated(trials, cfg, 3, base_seed=9)
+        second = run_replicated(trials, cfg, 3, base_seed=9)
         assert first == second
 
     def test_identity_permutation_seed_equals_unshuffled_run(self):
@@ -312,8 +304,8 @@ class TestRunReplicated:
                 np.arange(len(trials)),
             )
         )
-        cfg = LoopConfig(k=2, seed_size=3, n_runs=1)
-        replicated = run_replicated(trials, cfg, base_seed=base)
+        cfg = LoopConfig(k=2, seed_size=3)
+        replicated = run_replicated(trials, cfg, 1, base_seed=base)
         direct = run_online(trials, cfg)
         assert len(replicated) == 1
         assert replicated[0].records == direct.records
@@ -321,8 +313,8 @@ class TestRunReplicated:
 
     def test_each_run_matches_reference_on_its_shuffle(self):
         trials = small_stream(15, 15, seed=41)
-        cfg = LoopConfig(l_value=100.0, n_runs=3)
-        reports = run_replicated(trials, cfg, base_seed=17)
+        cfg = LoopConfig(l_value=100.0)
+        reports = run_replicated(trials, cfg, 3, base_seed=17)
         from forceknn.online import _run_seed
 
         for run_index, report in enumerate(reports):
@@ -337,23 +329,40 @@ class TestRunReplicated:
 
     def test_runs_differ_across_indices(self):
         trials = small_stream(15, 15, seed=43)
-        reports = run_replicated(trials, LoopConfig(n_runs=2), base_seed=3)
+        reports = run_replicated(trials, LoopConfig(), 2, base_seed=3)
         assert reports[0].records != reports[1].records
 
     def test_negative_base_seed_rejected(self):
         trials = small_stream(15, 15, seed=44)
         with pytest.raises(ValueError):
-            run_replicated(trials, LoopConfig(n_runs=1), base_seed=-2)
+            run_replicated(trials, LoopConfig(), 1, base_seed=-2)
+
+    def test_validation(self):
+        trials = small_stream(15, 15, seed=44)
+        with pytest.raises(ValueError, match="n_runs"):
+            run_replicated(trials, LoopConfig(), 0)
+        with pytest.raises(ValueError, match="base_seed"):
+            run_replicated(trials, LoopConfig(), 1, base_seed=-1)
+
+    def test_cache_shared_with_another_dataset_of_the_same_ids(self):
+        # gen_dataset names every dataset's trials trial-0000, ..., so ids
+        # alone cannot tell the second dataset's cached rows from the first's.
+        cfg = LoopConfig(k=5, seed_size=12, l_value=50.0)
+        first, second = gen_dataset(20, 20, rng_seed=1), gen_dataset(20, 20, rng_seed=2)
+        assert [t.id for t in first] == [t.id for t in second]
+        shared: dict = {}
+        run_online(first, cfg, feature_cache=shared)
+        assert run_online(second, cfg, feature_cache=shared) == run_online(second, cfg)
 
 
 class TestVerificationMonotonicity:
     def test_l100_verifies_at_least_as_much_as_l50(self):
         trials = small_stream(20, 25, seed=51)
-        cfg100 = LoopConfig(l_value=100.0, n_runs=5)
-        cfg50 = LoopConfig(l_value=50.0, n_runs=5)
+        cfg100 = LoopConfig(l_value=100.0)
+        cfg50 = LoopConfig(l_value=50.0)
         cache: dict = {}
-        reports100 = run_replicated(trials, cfg100, base_seed=1, feature_cache=cache)
-        reports50 = run_replicated(trials, cfg50, base_seed=1, feature_cache=cache)
+        reports100 = run_replicated(trials, cfg100, 5, base_seed=1, feature_cache=cache)
+        reports50 = run_replicated(trials, cfg50, 5, base_seed=1, feature_cache=cache)
         for high, low in zip(reports100, reports50):
             assert high.verified_count >= low.verified_count
 
@@ -384,7 +393,6 @@ def replay_cases(draw):
         l_value=draw(st.floats(50.0, 100.0)),
         retrain_interval=draw(st.integers(1, 8)),
         seed_size=draw(st.integers(k, k + 6)),
-        n_runs=2,
     )
     return stream, cfg
 
@@ -434,7 +442,7 @@ class TestBatchedReplayMatchesReference:
         # A store of few rows starts over often; one of 46 or more never does.
         with mock.patch.object(online, "_STORE_BYTES", 8 * len(stream) * store_rows):
             report = run_online(stream, cfg, feature_cache=cache)
-            replicated = run_replicated(stream, cfg, base_seed, feature_cache=cache)
+            replicated = run_replicated(stream, cfg, 2, base_seed, feature_cache=cache)
         assert (report.records, report.final_dataset_size, report.oracle_calls) == reference_run(
             stream, cfg
         )
@@ -454,8 +462,7 @@ class TestBatchedReplayMatchesReference:
         self, case, n_runs, base_seed
     ):
         stream, cfg = case
-        cfg = dataclasses.replace(cfg, n_runs=n_runs)
-        reports = run_replicated(stream, cfg, base_seed)
+        reports = run_replicated(stream, cfg, n_runs, base_seed)
         assert len(reports) == n_runs
         for run_index, report in enumerate(reports):
             order = np.random.default_rng(_run_seed(base_seed, run_index)).permutation(len(stream))

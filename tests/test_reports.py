@@ -30,7 +30,7 @@ from forceknn.reports import (
 @pytest.fixture(scope="module")
 def reports():
     trials = gen_dataset(20, 25, rng_seed=5)
-    return run_replicated(trials, LoopConfig(l_value=100.0, n_runs=3), base_seed=2)
+    return run_replicated(trials, LoopConfig(l_value=100.0), 3, base_seed=2)
 
 
 class TestAggregateWindowSeries:
@@ -130,7 +130,7 @@ class TestWriters:
             LabeledTrial(f"{odd_ids[i % len(odd_ids)]}-{i}", trial.trace, trial.truth)
             for i, trial in enumerate(gen_dataset(12, 14, rng_seed=8))
         ]
-        replayed = run_replicated(trials, LoopConfig(l_value=80.0, n_runs=3), base_seed=4)
+        replayed = run_replicated(trials, LoopConfig(l_value=80.0), 3, base_seed=4)
         built = RunReport(
             records=(
                 TrialRecord('"', Label.POSITIVE, Label.POSITIVE, Phase.SEED),
@@ -139,7 +139,7 @@ class TestWriters:
                 TrialRecord("x", Label.POSITIVE, Label.NEGATIVE, Phase.CLASSIFIED),
             ),
             final_dataset_size=2,
-            config=LoopConfig(n_runs=1),
+            config=LoopConfig(),
             rng_seed=2**63 + 5,
             oracle_calls=2,
         )

@@ -348,6 +348,7 @@ class TestPreprocess:
             (preprocess, 1.7e308),
             (savgol_smooth, 1.7e308),
             (preprocess, 1e308),
+            (downsample_mean, 1e308),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
