@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple
 from . import __version__
 from .classifier import Metric
 from .datagen import GenParams, gen_dataset
-from .dataset_io import DatasetFormatError, read_dataset, write_dataset
+from .dataset_io import DatasetFormatError, _not_utf8, read_dataset, write_dataset
 from .grid import GridRow, GridSpec, online_grid, static_grid
 from .metrics import TimeModel, summarize_runs
 from .online import LoopConfig, TrialDataError, _check_runs, run_replicated
@@ -118,7 +118,11 @@ def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -
 
 def _load_config(path: str, options: dict[str, _Option]) -> dict:
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        problem = _not_utf8(raw)
+        if problem is not None:
+            raise _UsageError(f"{path}:{line_no}: {problem}")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -240,6 +244,8 @@ def _cmd_online(args: argparse.Namespace) -> int:
     opts = _resolve(args, _LOOP_OPTIONS)
     k = _single(opts["k"], "k value")
     metric = _single(opts["metric"], "metric")
+    if not opts["l_value"]:
+        raise _UsageError("expected at least one l-value, got none")
     records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
     if len(set(records_names)) != len(records_names):
         raise _UsageError(f"l-values {opts['l_value']} would share a records file name")

@@ -3,16 +3,16 @@
 Layout: one metadata header row ``id,label,<n_samples>,<sample_rate>``
 (n_samples >= 0, a finite sample_rate > 0) followed by one row per trial:
 id, ``pos``/``neg``, then exactly ``n_samples`` force values in newtons.
-UTF-8, LF line endings, ``.`` decimal separator. Values are written with
-shortest round-trip ``repr``, so write-then-read reproduces traces bit for
-bit.
+UTF-8, ``.`` decimal separator; written with LF line endings, read with LF,
+CRLF or a lone CR. Values are written with shortest round-trip ``repr``, so
+write-then-read reproduces traces bit for bit.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -98,45 +98,80 @@ def _fail(line_no: int, message: str) -> DatasetFormatError:
     return DatasetFormatError(f"line {line_no}: {message}")
 
 
-def read_dataset(path: str | Path) -> list[LabeledTrial]:
-    """Parse a dataset file; aborts with a line-numbered error on the first defect."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise _fail(1, "missing header")
-    header = lines[0].split(",")
-    if len(header) != 4 or header[0] != "id" or header[1] != "label":
-        raise _fail(1, f"expected header 'id,label,<n_samples>,<sample_rate>', got {lines[0]!r}")
-    try:
-        n_samples = int(header[2])
-        sample_rate = float(header[3])
-    except ValueError:
-        raise _fail(1, f"bad n_samples/sample_rate in header {lines[0]!r}") from None
-    if n_samples < 0:
-        raise _fail(1, f"n_samples must be >= 0, got {n_samples}")
-    if not 0 < sample_rate < np.inf:
-        raise _fail(1, f"sample_rate must be positive and finite, got {header[3]!r}")
+def _not_utf8(line: str) -> str | None:
+    """Name the first byte of ``line`` that is not UTF-8, or return None if there is none.
 
-    trials: list[LabeledTrial] = []
-    seen_ids: set[str] = set()
-    for offset, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 2 + n_samples:
-            raise _fail(offset, f"expected {2 + n_samples} fields, got {len(fields)}")
-        trial_id = fields[0]
-        if trial_id in seen_ids:
-            raise _fail(offset, f"duplicate trial id {trial_id!r}")
-        seen_ids.add(trial_id)
-        label = _TEXT_TO_LABEL.get(fields[1])
-        if label is None:
-            raise _fail(offset, f"label must be 'pos' or 'neg', got {fields[1]!r}")
+    ``line`` was decoded with ``errors="surrogateescape"``, which turns each
+    such byte into a lone surrogate that does not encode back.
+    """
+    if line.isascii():
+        return None
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        return f"byte 0x{byte:02x} at character {exc.start + 1} is not UTF-8"
+    return None
+
+
+def _numbered_lines(handle: TextIO) -> Iterator[tuple[int, str]]:
+    """Yield each line of a file opened with ``errors="surrogateescape"``, numbered from 1.
+
+    The line ending is dropped. A byte that is not UTF-8 is a format error on
+    the line that holds it, even when the decoder met it while still reading
+    an earlier line.
+    """
+    for line_no, line in enumerate(handle, start=1):
+        line = line.removesuffix("\n")
+        problem = _not_utf8(line)
+        if problem is not None:
+            raise _fail(line_no, problem)
+        yield line_no, line
+
+
+def read_dataset(path: str | Path) -> list[LabeledTrial]:
+    """Parse a dataset file; aborts with a line-numbered error on the first defect.
+
+    The file is read one line at a time, in text mode with universal
+    newlines: LF, CRLF and a lone CR each end a line.
+    """
+    with open(Path(path), encoding="utf-8", errors="surrogateescape") as handle:
+        lines = _numbered_lines(handle)
+        _, header_line = next(lines, (1, None))
+        if header_line is None:
+            raise _fail(1, "missing header")
+        header = header_line.split(",")
+        if len(header) != 4 or header[0] != "id" or header[1] != "label":
+            raise _fail(
+                1, f"expected header 'id,label,<n_samples>,<sample_rate>', got {header_line!r}"
+            )
         try:
-            samples = np.array(fields[2:], dtype=float)
-            trace = ForceTrace(samples, sample_rate)
-        except ValueError as exc:
-            raise _fail(offset, str(exc)) from None
-        trials.append(LabeledTrial(trial_id, trace, label))
-    return trials
+            n_samples = int(header[2])
+            sample_rate = float(header[3])
+        except ValueError:
+            raise _fail(1, f"bad n_samples/sample_rate in header {header_line!r}") from None
+        if n_samples < 0:
+            raise _fail(1, f"n_samples must be >= 0, got {n_samples}")
+        if not 0 < sample_rate < np.inf:
+            raise _fail(1, f"sample_rate must be positive and finite, got {header[3]!r}")
+
+        trials: list[LabeledTrial] = []
+        seen_ids: set[str] = set()
+        for offset, line in lines:
+            fields = line.split(",")
+            if len(fields) != 2 + n_samples:
+                raise _fail(offset, f"expected {2 + n_samples} fields, got {len(fields)}")
+            trial_id = fields[0]
+            if trial_id in seen_ids:
+                raise _fail(offset, f"duplicate trial id {trial_id!r}")
+            seen_ids.add(trial_id)
+            label = _TEXT_TO_LABEL.get(fields[1])
+            if label is None:
+                raise _fail(offset, f"label must be 'pos' or 'neg', got {fields[1]!r}")
+            try:
+                samples = np.array(fields[2:], dtype=float)
+                trace = ForceTrace(samples, sample_rate)
+            except ValueError as exc:
+                raise _fail(offset, str(exc)) from None
+            trials.append(LabeledTrial(trial_id, trace, label))
+        return trials

@@ -20,7 +20,8 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(forceknn.__file__).resolve().parents[1])}
     probe = "import sys, forceknn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, encoding="utf-8",
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -33,7 +34,8 @@ def test_benchmark_tracer_finds_every_patch_target():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
     probe = "import forceknn, forceknn.cli, spans; spans.instrument(spans.Tracer(), forceknn)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, encoding="utf-8",
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
 
@@ -150,6 +152,19 @@ class TestOnline:
                      "--l-value", "50,70,50.000001"])
         assert code == EXIT_USAGE
         assert "records file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_l_value_list_is_usage_error_before_reading(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_text("l-value =\n", encoding="utf-8")
+        extra = ["--l-value", ""] if source == "flag" else ["--config", str(config)]
+        # the dataset does not exist: reading it first would exit with EXIT_DATA
+        code = main(["online", "--dataset", str(tmp_path / "missing.csv"), "--out", str(out),
+                     *extra])
+        assert code == EXIT_USAGE
+        assert "at least one l-value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, dataset):
@@ -409,6 +424,26 @@ class TestConfigFileAndExitCodes:
         code = main(["online", "--dataset", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
+
+    def test_undecodable_dataset_is_data_error_on_its_line(self, tmp_path, capsys):
+        # line 3 opens with the bad byte, after a full 1000-sample row
+        bad = run_gen(tmp_path, "bad.csv", n_pos=3, n_neg=0)
+        lines = bad.read_bytes().split(b"\n")
+        bad.write_bytes(b"\n".join([*lines[:2], b"\xff" + lines[2], *lines[3:]]))
+        code = main(["online", "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: line 3: byte 0xff ")
+
+    def test_undecodable_config_is_usage_error_naming_its_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"runs = 2\nk = \xff\n")
+        out = tmp_path / "out"
+        # the dataset does not exist: reading it first would exit with EXIT_DATA
+        code = main(["online", "--dataset", str(tmp_path / "missing.csv"), "--out", str(out),
+                     "--config", str(config)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {config}:2: byte 0xff ")
+        assert not out.exists()
 
     def test_header_defect_is_data_error_on_line_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forceknn.classifier import Label
@@ -16,6 +17,64 @@ from forceknn.dataset_io import DatasetFormatError, read_dataset, write_dataset
 from forceknn.datagen import gen_dataset
 from forceknn.online import LabeledTrial
 from forceknn.signal import ForceTrace
+
+
+def reference_read_dataset(path):
+    """The whole-file reader ``read_dataset`` replaced; its results and messages are the spec."""
+
+    def fail(line_no, message):
+        return DatasetFormatError(f"line {line_no}: {message}")
+
+    text_to_label = {"pos": Label.POSITIVE, "neg": Label.NEGATIVE}
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise fail(1, "missing header")
+    header = lines[0].split(",")
+    if len(header) != 4 or header[0] != "id" or header[1] != "label":
+        raise fail(1, f"expected header 'id,label,<n_samples>,<sample_rate>', got {lines[0]!r}")
+    try:
+        n_samples = int(header[2])
+        sample_rate = float(header[3])
+    except ValueError:
+        raise fail(1, f"bad n_samples/sample_rate in header {lines[0]!r}") from None
+    if n_samples < 0:
+        raise fail(1, f"n_samples must be >= 0, got {n_samples}")
+    if not 0 < sample_rate < np.inf:
+        raise fail(1, f"sample_rate must be positive and finite, got {header[3]!r}")
+
+    trials = []
+    seen_ids = set()
+    for offset, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 2 + n_samples:
+            raise fail(offset, f"expected {2 + n_samples} fields, got {len(fields)}")
+        trial_id = fields[0]
+        if trial_id in seen_ids:
+            raise fail(offset, f"duplicate trial id {trial_id!r}")
+        seen_ids.add(trial_id)
+        label = text_to_label.get(fields[1])
+        if label is None:
+            raise fail(offset, f"label must be 'pos' or 'neg', got {fields[1]!r}")
+        try:
+            samples = np.array(fields[2:], dtype=float)
+            trace = ForceTrace(samples, sample_rate)
+        except ValueError as exc:
+            raise fail(offset, str(exc)) from None
+        trials.append(LabeledTrial(trial_id, trace, label))
+    return trials
+
+
+def read_outcome(reader, path):
+    """What ``reader`` makes of ``path``: each trial's fields and sample bytes, or its error."""
+    try:
+        trials = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(t.id, t.truth, t.trace.samples.tobytes(), t.trace.sample_rate) for t in trials]
 
 
 def awkward_trials():
@@ -108,6 +167,89 @@ def test_write_read_round_trip_property(trials):
     for original, parsed in zip(trials, loaded):
         assert parsed.trace.samples.tobytes() == original.trace.samples.tobytes()
         assert parsed.trace.sample_rate == original.trace.sample_rate
+
+
+@st.composite
+def dataset_texts(draw):
+    """Dataset file text, mostly valid, with the defects a reader must report.
+
+    Any line may end in LF, CRLF or a lone CR. Each header, row and ending is
+    valid unless a one-in-16 draw gives it a defect: a bad header, a wrong
+    field count, a bad or non-finite float, a bad label, a blank line, a
+    missing final newline or an id that repeats the row before.
+    """
+    rarely = st.integers(0, 15).map(lambda n: n == 0)
+    n_samples = draw(st.integers(1, 3))
+    header = f"id,label,{n_samples},{draw(st.sampled_from(['500.0', '12.5', '1e3']))}"
+    if draw(rarely):
+        header = draw(st.sampled_from([
+            f"identifier,label,{n_samples},500.0", f"id,label,{n_samples}", "id,label,x,500.0",
+            "id,label,-1,500.0", "id,label,0,500.0", f"id,label,{n_samples},0",
+            f"id,label,{n_samples},inf", "",
+        ]))
+    lines = [header]
+    trial_id = ""
+    for row in range(draw(st.integers(0, 6))):
+        if not (row and draw(rarely)):
+            trial_id = draw(st.text(st.sampled_from("ab é\"\x85"), max_size=3)) + str(row)
+        label = draw(st.sampled_from(["maybe", ""] if draw(rarely) else ["pos", "neg"]))
+        values = draw(st.lists(st.sampled_from(["0.0", "-3.5", "1e-17", "7e+300", "12", " 1.5"]),
+                               min_size=n_samples, max_size=n_samples))
+        if draw(rarely):
+            values = draw(st.sampled_from([values[1:], values + ["1.0"], ["abc", *values[1:]],
+                                           [*values[1:], "nan"], ["1e999", *values[1:]]]))
+        lines.append(",".join([trial_id, label, *values]))
+        if draw(rarely):
+            lines.append("")
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    return text[:-1] if draw(rarely) else text
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=dataset_texts())
+@example(text="")
+@example(text="\n")
+@example(text="\r\n\r\n")
+@example(text="id,label,0,1.0")
+@example(text="id,label,1,1.0\rx,pos,2.5\r\r")
+def test_reader_matches_whole_file_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = read_outcome(reference_read_dataset, path)
+        assert read_outcome(read_dataset, path) == expected
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_generated_dataset_reads_bit_identically_with_any_line_ending(tmp_path, ending):
+    path = tmp_path / "gen.csv"
+    write_dataset(path, gen_dataset(4, 6, rng_seed=0))
+    lf = read_outcome(read_dataset, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+    assert read_outcome(read_dataset, path) == lf
+    assert read_outcome(reference_read_dataset, path) == lf
+
+
+def test_read_holds_less_memory_than_the_file(tmp_path):
+    # The reader keeps one line of text at a time: its peak allocation is the
+    # trials it returns plus one row, well under the size of the file itself.
+    path = tmp_path / "gen.csv"
+    write_dataset(path, gen_dataset(30, 30, rng_seed=0))
+    size = path.stat().st_size
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        trials = read_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(trials) == 60
+    assert peak - base < size, f"read peak {peak - base} B for a {size} B file"
 
 
 class TestOverwriteGuard:
@@ -222,3 +364,38 @@ class TestMalformedFiles:
         path = self.write(tmp_path, "id,label,1,500.0\nx,pos,1.0\nx,neg,2.0\n")
         with pytest.raises(DatasetFormatError, match="line 3.*duplicate"):
             read_dataset(path)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a format error on the line that holds it."""
+
+    @pytest.mark.parametrize(
+        "raw, line_no, byte",
+        [
+            (b"id,label,2,500.0\nx,pos,1.0,2.0\ny\xff,neg,1.0,2.0\n", 3, 0xFF),
+            (b"id,label,2,500.0\r\nx,pos,1.0,2.0\r\ny,neg,1.0,2.0\xc3\r\n", 3, 0xC3),
+            (b"id,label,2,500.0\rx,pos,1.0,2.0\r\xe9,neg,1.0,2.0", 3, 0xE9),
+            (b"id,label,\x80,500.0\n", 1, 0x80),
+        ],
+        ids=["lf", "crlf-truncated-sequence", "lone-cr", "header"],
+    )
+    def test_reported_on_its_line(self, tmp_path, raw, line_no, byte):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DatasetFormatError, match=f"^line {line_no}: byte 0x{byte:02x} "):
+            read_dataset(path)
+
+    def test_first_byte_after_a_full_length_row(self, tmp_path):
+        # The bad byte opens line 3, after a 1000-sample row: the decoder meets it
+        # while line 2 is still being read, and it must still be blamed on line 3.
+        path = tmp_path / "bad.csv"
+        write_dataset(path, gen_dataset(2, 0, rng_seed=0))
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([*lines[:2], b"\xff" + lines[2], *lines[3:]]))
+        with pytest.raises(DatasetFormatError, match="^line 3: byte 0xff "):
+            read_dataset(path)
+
+    def test_valid_multibyte_ids_are_not_flagged(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_bytes("id,label,1,500.0\ngröße-Ω,pos,1.0\n€,neg,2.0\n".encode("utf-8"))
+        assert [t.id for t in read_dataset(path)] == ["größe-Ω", "€"]
