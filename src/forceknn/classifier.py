@@ -190,6 +190,32 @@ def _vote(n_pos, k: int, threshold):
     return (n_pos > n_neg) & (n_pos >= threshold), (n_neg > n_pos) & (n_neg >= threshold)
 
 
+def _count_nearest(dists: np.ndarray, is_pos: np.ndarray, k: int) -> np.ndarray:
+    """Positive entries among the k nearest of each column of ``dists``.
+
+    ``dists`` holds one row per entry, in insertion order, and one column per
+    query, or is one query's 1-d column, which gets one count instead of an
+    array; ``is_pos`` flags the positive entries. The count equals the one
+    over the first k of the stable sort,
+    ``np.argsort(dists, axis=0, kind="stable")[:k]``, without sorting: a
+    partition finds each column's k-th smallest distance v, and when
+    exactly k entries lie at or below v they are those k. A column with a
+    tie at v, or fewer than k comparable entries (NaN), is counted again
+    from the stable sort.
+    """
+    within = dists <= np.partition(dists, k - 1, axis=0)[k - 1]
+    if dists.ndim == 1:  # one query: whole-array counts cost less than axis reductions
+        if np.count_nonzero(within) == k:
+            return np.count_nonzero(within & is_pos)
+        return np.count_nonzero(is_pos[np.argsort(dists, kind="stable")[:k]])
+    n_pos = (within & is_pos[:, np.newaxis]).sum(axis=0)
+    audit_failed = within.sum(axis=0) != k
+    if audit_failed.any():
+        order = np.argsort(dists[:, audit_failed], axis=0, kind="stable")[:k]
+        n_pos[audit_failed] = is_pos[order].sum(axis=0)
+    return n_pos
+
+
 def _decision(n_pos: int, k: int, threshold: int) -> Decision:
     positive, negative = _vote(n_pos, k, threshold)
     return Decision.POSITIVE if positive else Decision.NEGATIVE if negative else Decision.UNCERTAIN
@@ -238,33 +264,27 @@ class KnnModel:
         )
 
 
-def _nearest(model: KnnModel, query: FeatureVector) -> np.ndarray | None:
-    """Indices of the k entries closest to ``query``, or None if none is defined.
-
-    Ordered by (distance, insertion index) ascending; the stable sort makes
-    exact-distance ties deterministic.
-    """
+def _query_distances(model: KnnModel, query: FeatureVector) -> np.ndarray | None:
+    """Distance from each entry, in insertion order, to ``query``; None if none is defined."""
     if len(model) < model.k:
         raise ValueError(f"dataset holds {len(model)} entries but k={model.k}")
     q = query.values
     if q.size != model._dim:
         raise ValueError(f"dimension mismatch: query {q.size}, dataset {model._dim}")
-    dists = _batch_distances(model._matrix, model._norms, q, model.metric)
-    if dists is None:
-        return None
-    return np.argsort(dists, kind="stable")[: model.k]
+    return _batch_distances(model._matrix, model._norms, q, model.metric)
 
 
 def nearest_labels(model: KnnModel, query: FeatureVector) -> list[Label]:
     """Labels of the k dataset entries closest to ``query``.
 
-    Ordered by (distance, insertion index) ascending. Raises ValueError for a
-    zero-norm query under cosine, which has no neighbours.
+    Ordered by (distance, insertion index) ascending; the stable sort makes
+    exact-distance ties deterministic. Raises ValueError for a zero-norm
+    query under cosine, which has no neighbours.
     """
-    order = _nearest(model, query)
-    if order is None:
+    dists = _query_distances(model, query)
+    if dists is None:
         raise ValueError("cosine distance is undefined for a zero-norm query")
-    return [model._entries[i][1] for i in order]
+    return [model._entries[i][1] for i in np.argsort(dists, kind="stable")[: model.k]]
 
 
 def decide(neighbor_labels: Sequence[Label], k: int, l_value: float) -> Decision:
@@ -285,8 +305,12 @@ def decide(neighbor_labels: Sequence[Label], k: int, l_value: float) -> Decision
 
 
 def classify(model: KnnModel, query: FeatureVector) -> Decision:
-    """Nearest-neighbour vote with abstention; a zero-norm cosine query abstains."""
-    order = _nearest(model, query)
-    if order is None:
+    """Nearest-neighbour vote with abstention; a zero-norm cosine query abstains.
+
+    The k nearest entries are those of ``nearest_labels``, ties broken by
+    insertion index; only their positive count is taken, by ``_count_nearest``.
+    """
+    dists = _query_distances(model, query)
+    if dists is None:
         return Decision.UNCERTAIN
-    return _decision(int(model._is_pos[order].sum()), model.k, model._threshold)
+    return _decision(int(_count_nearest(dists, model._is_pos, model.k)), model.k, model._threshold)

@@ -249,12 +249,12 @@ def _cmd_online(args: argparse.Namespace) -> int:
     records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
     if len(set(records_names)) != len(records_names):
         raise _UsageError(f"l-values {opts['l_value']} would share a records file name")
-    # An infeasible config exits before the dataset is read or the directory made.
+    # An infeasible config exits before the dataset is read, and a replay that
+    # fails on the data before the directory is made.
     configs = [_loop_config(opts, k, metric, l_value) for l_value in opts["l_value"]]
     _check_runs(opts["runs"], opts["rng_seed"])
     trials = read_dataset(args.dataset)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tm = TimeModel()
     distances: dict = {}  # one distance store, shared by every l-value
     summary_rows = []
@@ -265,6 +265,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
         summary_rows.append(summarize_runs(reports))
         window_series.append((cfg.l_value, aggregate_window_series(reports, tm)))
         records_path = out_dir / records_name
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_records_jsonl(records_path, reports)
         print(f"wrote {records_path}")
     echo = _echo_pairs(opts, args.dataset, {

@@ -21,7 +21,7 @@ import numpy as np
 # KnnModel and classify are not used here but stay importable: callers reach
 # the single-query API through this module.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
-from .classifier import _batch_distances, _reference_norms, _vote
+from .classifier import _batch_distances, _count_nearest, _reference_norms, _vote
 from .signal import ForceTrace, PreprocessConfig, preprocess
 
 __all__ = [
@@ -246,7 +246,7 @@ class _Distances:
         self.n_rows = 0
 
     def between(self, columns, rows: np.ndarray) -> np.ndarray:
-        """The stored ``rows`` (computed if missing), restricted to ``columns``."""
+        """The stored ``rows`` (computed if missing), restricted to ``columns``, as one gather."""
         missing = rows[self.slot[rows] < 0]
         need = self.n_rows + len(missing)
         if need > len(self.store):
@@ -271,7 +271,7 @@ class _Distances:
                 self.store[at, fresh] = 1.0 if row is None else row
             self.slot[missing] = np.arange(new.start, new.stop)
             self.n_rows = new.stop
-        return self.store[np.ix_(self.slot[rows], columns)]
+        return self.store[self.slot[rows][:, np.newaxis], columns]
 
 
 class TrialDataError(ValueError):
@@ -297,15 +297,18 @@ def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np
     return np.stack(rows)
 
 
-def _distances(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
-    """The cached trial-to-row map and distances for ``cfg``; new ones if the map lacks a trial."""
-    key = (cfg.metric, cfg.preprocess)
-    entry = cache.get(key)
-    if entry is None or not all(trial in entry[0] for trial in trials):
-        features = _feature_matrix(trials, cfg.preprocess)
+def _rows(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
+    """Each trial's feature row, each row's positive flag, and the distances for ``cfg``."""
+    key = (cfg.metric, cfg.preprocess)  # an entry that lacks one of the trials is rebuilt
+    row_of, truth, distances = cache.get(key, ({}, None, None))
+    rows = np.array([row_of.get(trial, -1) for trial in trials])
+    if -1 in rows:
         row_of = {trial: i for i, trial in enumerate(trials)}  # two datasets may share ids
-        entry = cache[key] = row_of, _Distances(features, cfg.metric)
-    return entry
+        truth = np.array([trial.truth is Label.POSITIVE for trial in trials])
+        distances = _Distances(_feature_matrix(trials, cfg.preprocess), cfg.metric)
+        cache[key] = row_of, truth, distances
+        rows = np.arange(len(trials))
+    return rows, truth, distances
 
 
 def run_online(
@@ -319,17 +322,18 @@ def run_online(
 
     The loop itself is deterministic; ``rng_seed`` is only echoed into the
     report (it identifies the shuffle that produced the stream order).
-    Between refreshes the snapshot is frozen, so each block of up to
-    ``retrain_interval`` queries is ranked and voted on in one step, over
-    stored rows of distances from each snapshot entry to every trial. Its
-    verdicts land in the report's record columns by slice assignment.
+    The snapshot is the dataset's feature rows and positive flags, in
+    insertion order, frozen between refreshes: each block of up to
+    ``retrain_interval`` queries is voted on in one step, over stored rows
+    of distances from each snapshot entry to every trial, by
+    ``_count_nearest`` and a table of the vote's verdict per positive count.
 
-    ``feature_cache`` memoises those rows, with the preprocessed features,
+    ``feature_cache`` memoises those rows, the features and each trial's row
     under ``(cfg.metric, cfg.preprocess)``; share it across runs over the
     same trials, and across l-values and k. An entry stores 8 * n bytes per
     trial that has sat in a snapshot, for n trials: one run adds a row per
-    dataset entry (under 1 MB at n = 704), many runs approach 8 * n**2 bytes
-    (4 MB at n = 704), and no entry passes 1 GiB.
+    dataset entry, many runs approach 8 * n**2 bytes (4 MB at n = 704), and
+    no entry passes 1 GiB.
 
     Raises ValueError if the stream is no longer than the seed phase, lacks
     one of the classes, or is exhausted before the seed quota is met.
@@ -339,56 +343,52 @@ def run_online(
         raise ValueError(
             f"stream of {len(trials)} trials is too short for seed_size {cfg.seed_size}"
         )
-    positive = np.array([trial.truth is Label.POSITIVE for trial in trials])
+    rows, truth, distances = _rows(trials, cfg, {} if feature_cache is None else feature_cache)
+    positive = truth[rows]
     if positive.all() or not positive.any():
         raise ValueError("trial stream must contain both classes")
     ids = tuple(trial.id for trial in trials)
     if len(set(ids)) != len(ids):
         raise ValueError("trial ids must be unique")  # the records name trials by id
 
-    row_of, distances = _distances(trials, cfg, {} if feature_cache is None else feature_cache)
-    rows = np.array([row_of[trial] for trial in trials])
-    # The oracle is exact, so a dataset entry's label is its trial's truth.
-    row_positive = np.zeros(len(row_of), dtype=bool)
-    row_positive[rows] = positive
-
     # Seed phase: oracle-label from the stream head until both the size and
     # the positive quota are met; a shortfall of positives extends the phase.
-    positive_quota = math.ceil(cfg.seed_size * cfg.seed_min_positive_fraction)
-    met = (np.arange(1, len(trials) + 1) >= cfg.seed_size) & (
-        np.cumsum(positive) >= positive_quota
-    )
+    met = np.cumsum(positive) >= math.ceil(cfg.seed_size * cfg.seed_min_positive_fraction)
+    met[: cfg.seed_size - 1] = False  # fewer than seed_size samples
     if not met.any():
         raise ValueError("stream exhausted before the seed phase completed")
-    consumed = int(met.argmax()) + 1
-    # The dataset's rows in insertion order. The oracle is asked once per seed
-    # and fallback trial, and only those trials join, labelled by the truth.
-    dataset = rows[:consumed].tolist()
+    size = consumed = int(met.argmax()) + 1
+    # The dataset is the first size entries, rows and positive flags in insertion order:
+    # the oracle labels each seed and fallback trial, and only those trials join.
+    dataset, dataset_pos = rows.copy(), positive.copy()
     phase = np.full(len(trials), _CLASSIFIED, dtype=np.int8)
     phase[:consumed] = _SEED
     predicted = positive.copy()
 
+    # The vote's verdict for each count of positive neighbours, 0 to k.
+    pos_of, neg_of = _vote(np.arange(cfg.k + 1), cfg.k, min_agreeing_count(cfg.k, cfg.l_value))
+    decided = pos_of | neg_of
     # Each block sees the snapshot taken at its start. The seed phase holds at
     # least seed_size >= k entries, so every snapshot has k neighbours to rank.
-    threshold = min_agreeing_count(cfg.k, cfg.l_value)
     for start in range(consumed, len(trials), cfg.retrain_interval):
-        stop = start + cfg.retrain_interval
-        block = rows[start:stop]
-        snapshot = np.array(dataset)
-        ranked = np.argsort(distances.between(block, snapshot), axis=0, kind="stable")
-        n_pos = row_positive[snapshot][ranked[: cfg.k]].sum(axis=0)
-        is_pos, is_neg = _vote(n_pos, cfg.k, threshold)
-        committed = (is_pos | is_neg) & distances.answered[block]
-        predicted[start:stop][committed] = is_pos[committed]
-        phase[start:stop][~committed] = _FALLBACK
-        dataset.extend(block[~committed].tolist())
+        block = slice(start, start + cfg.retrain_interval)
+        queries = rows[block]
+        dists = distances.between(queries, dataset[:size])
+        n_pos = _count_nearest(dists, dataset_pos[:size], cfg.k)
+        fallback = ~(decided[n_pos] & distances.answered[queries])
+        predicted[block] = np.where(fallback, positive[block], pos_of[n_pos])
+        phase[block][fallback] = _FALLBACK
+        joined = queries[fallback]
+        dataset[size : size + len(joined)] = joined
+        dataset_pos[size : size + len(joined)] = positive[block][fallback]
+        size += len(joined)
 
     return RunReport(
         records=RecordColumns(ids, phase, predicted, positive),
-        final_dataset_size=len(dataset),
+        final_dataset_size=size,
         config=cfg,
         rng_seed=rng_seed,
-        oracle_calls=len(dataset),  # one oracle answer per dataset entry
+        oracle_calls=size,  # one oracle answer per dataset entry
     )
 
 

@@ -167,6 +167,14 @@ class TestOnline:
         assert "at least one l-value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_replay_failing_on_the_data_makes_no_output_directory(self, tmp_path, dataset, capsys):
+        # The 36-trial stream is no longer than the seed phase.
+        out = tmp_path / "out"
+        code = main(["online", "--dataset", str(dataset), "--out", str(out), "--seed-size", "36"])
+        assert code == EXIT_CONFIG
+        assert "too short for seed_size 36" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, dataset):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["online", "--dataset", str(dataset), *ONLINE_FLAGS]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from forceknn import online
 from forceknn.classifier import (
@@ -19,6 +20,7 @@ from forceknn.classifier import (
     KnnModel,
     Label,
     _batch_distances,
+    _count_nearest,
     _reference_norms,
     classify,
     minkowski,
@@ -354,6 +356,23 @@ class TestRunReplicated:
         run_online(first, cfg, feature_cache=shared)
         assert run_online(second, cfg, feature_cache=shared) == run_online(second, cfg)
 
+    def test_calls_run_online_once_per_run_through_the_module(self):
+        # The benchmark's tracer wraps online.run_online and sums the oracle
+        # calls of the reports it returns; that count must equal the verified
+        # records of every run.
+        trials = small_stream(15, 15, seed=45)
+        real, returned = online.run_online, []
+
+        def wrapper(*args, **kwargs):
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
+
+        with mock.patch.object(online, "run_online", wrapper):
+            reports = run_replicated(trials, LoopConfig(), 4, base_seed=5)
+        assert returned == reports and len(returned) == 4
+        verified = sum(int(np.count_nonzero(r.records.verified)) for r in reports)
+        assert sum(report.oracle_calls for report in returned) == verified
+
 
 class TestVerificationMonotonicity:
     def test_l100_verifies_at_least_as_much_as_l50(self):
@@ -431,6 +450,43 @@ class TestDistanceStore:
                 columns = np.array(data.draw(st.permutations(range(n)), label="columns"))
                 got = store.between(columns, rows)
                 assert got.tobytes() == expected[np.ix_(rows, columns)].tobytes()
+
+
+# Distances drawn mostly from values that tie or do not order: -0.0 equals 0.0,
+# NaN sorts last, and inf ties with inf.
+DISTANCES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]), st.floats()
+)
+
+
+class TestCountNearest:
+    @settings(deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_equals_the_count_over_the_stable_sort(self, data):
+        n = data.draw(st.integers(1, 12), label="entries")
+        queries = data.draw(st.integers(0, 6), label="queries (0: one 1-d column)")
+        if queries == 0:
+            dists = data.draw(hnp.arrays(np.float64, n, elements=DISTANCES), label="dists")
+        elif data.draw(st.booleans(), label="transposed"):
+            drawn = data.draw(hnp.arrays(np.float64, (queries, n), elements=DISTANCES))
+            dists = drawn.T  # a strided (entries, queries) view
+        else:
+            dists = data.draw(hnp.arrays(np.float64, (n, queries), elements=DISTANCES))
+        is_pos = data.draw(hnp.arrays(np.bool_, n), label="is_pos")
+        k = data.draw(st.integers(1, n), label="k")
+        expected = is_pos[np.argsort(dists, axis=0, kind="stable")[:k]].sum(axis=0)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as stable_sort:
+            got = _count_nearest(dists, is_pos, k)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        # Only columns whose k nearest are not one set by value alone are sorted:
+        # the k-th smallest is NaN or equals the next one (a NaN row pads k = n).
+        columns = dists.reshape(n, -1)
+        ordered = np.sort(np.vstack([columns, np.full(columns.shape[1], np.nan)]), axis=0)
+        undetermined = np.isnan(ordered[k - 1]) | (ordered[k] == ordered[k - 1])
+        calls = stable_sort.call_args_list
+        sorted_columns = sum(call.args[0].reshape(n, -1).shape[1] for call in calls)
+        assert sorted_columns == np.count_nonzero(undetermined)
 
 
 class TestBatchedReplayMatchesReference:
