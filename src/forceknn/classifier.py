@@ -191,28 +191,29 @@ def _vote(n_pos, k: int, threshold):
 
 
 def _count_nearest(dists: np.ndarray, is_pos: np.ndarray, k: int) -> np.ndarray:
-    """Positive entries among the k nearest of each column of ``dists``.
+    """Positive entries among the k nearest of each row of ``dists``.
 
-    ``dists`` holds one row per entry, in insertion order, and one column per
-    query, or is one query's 1-d column, which gets one count instead of an
+    ``dists`` holds one row per query and one column per entry, in insertion
+    order, or is one query's 1-d row, which gets one count instead of an
     array; ``is_pos`` flags the positive entries. The count equals the one
     over the first k of the stable sort,
-    ``np.argsort(dists, axis=0, kind="stable")[:k]``, without sorting: a
-    partition finds each column's k-th smallest distance v, and when
-    exactly k entries lie at or below v they are those k. A column with a
-    tie at v, or fewer than k comparable entries (NaN), is counted again
-    from the stable sort.
+    ``np.argsort(dists, axis=-1, kind="stable")[..., :k]``, without sorting:
+    a partition finds each row's k-th smallest distance v, and when exactly
+    k entries lie at or below v they are those k. A row with a tie at v, or
+    fewer than k comparable entries (NaN), is counted again from the stable
+    sort.
     """
-    within = dists <= np.partition(dists, k - 1, axis=0)[k - 1]
     if dists.ndim == 1:  # one query: whole-array counts cost less than axis reductions
+        within = dists <= np.partition(dists, k - 1)[k - 1]
         if np.count_nonzero(within) == k:
             return np.count_nonzero(within & is_pos)
         return np.count_nonzero(is_pos[np.argsort(dists, kind="stable")[:k]])
-    n_pos = (within & is_pos[:, np.newaxis]).sum(axis=0)
-    audit_failed = within.sum(axis=0) != k
+    within = dists <= np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+    n_pos = (within & is_pos).sum(axis=1)
+    audit_failed = within.sum(axis=1) != k
     if audit_failed.any():
-        order = np.argsort(dists[:, audit_failed], axis=0, kind="stable")[:k]
-        n_pos[audit_failed] = is_pos[order].sum(axis=0)
+        order = np.argsort(dists[audit_failed], axis=1, kind="stable")[:, :k]
+        n_pos[audit_failed] = is_pos[order].sum(axis=1)
     return n_pos
 
 

@@ -256,7 +256,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
     trials = read_dataset(args.dataset)
     out_dir = Path(args.out)
     tm = TimeModel()
-    distances: dict = {}  # one distance store, shared by every l-value
+    distances: dict = {}  # one distance matrix, shared by every l-value
     summary_rows = []
     window_series = []
     for cfg, records_name in zip(configs, records_names):

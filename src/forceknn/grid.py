@@ -3,10 +3,9 @@
 Static mode works on fixed splits: hold out a test share at the 604:100
 ratio, subsample the remaining pool down to each training fraction,
 classify the test split and average per-cell statistics over shuffle seeds.
-It ranks through the online replay's distance store: one per metric, shared
-by every seed, so one is alive at a time; each seed reads its test trials'
-rows. Distances are symmetric to the bit, so a new row copies its entries
-for trials that already have a row from those rows. The rows are sorted
+It ranks through the online replay's distance matrix: one per metric,
+shared by every seed and released before the next metric's is built; each
+seed reads its test trials' rows. The rows are sorted
 once per (metric, seed) over the whole pool, by numpy's unstable SIMD sort
 with an audit that sorts again stably every row holding a tie; each
 training fraction filters that order down to its prefix, and one vote per
@@ -37,7 +36,7 @@ from .classifier import (
     minkowski,
 )
 from .metrics import _fold_mean, summarize_runs
-from .online import LabeledTrial, LoopConfig, _Distances, _feature_matrix, run_replicated
+from .online import LabeledTrial, LoopConfig, _distance_matrix, _feature_matrix, run_replicated
 # preprocess is not called here (the feature stack is online._feature_matrix) but
 # stays importable as grid.preprocess: the benchmark's tracer patches it there.
 from .signal import PreprocessConfig, preprocess
@@ -113,6 +112,38 @@ def _stable_argsort(dists: np.ndarray) -> np.ndarray:
     return order
 
 
+def _split_counts(
+    distances: np.ndarray, answered: np.ndarray, is_pos: np.ndarray, pool_size: int,
+    seed: int, grid: GridSpec, thresholds_of: dict,
+) -> np.ndarray:
+    """tp, fp, tn, fn and uncertain of each of ``static_grid``'s cells on one split seed.
+
+    The split's arrays live for this call only, so none of them is alive
+    while the next seed's or the next metric's are built.
+    """
+    order = np.random.default_rng(seed).permutation(len(is_pos))
+    pool_idx, test_idx = order[:pool_size], order[pool_size:]
+    pool_pos, truth_pos = is_pos[pool_idx], is_pos[test_idx]
+    # The test trials' rows (each test trial, as the query, to every pool trial)
+    # in stable order: equal distances keep pool order, so the columns below m
+    # of the full order are the stable order of the first m.
+    full = _stable_argsort(distances.take(test_idx, axis=0).take(pool_idx, axis=1))
+    # Positive and negative votes per (fraction, k, l-value, test trial);
+    # infeasible cells (train_size < k) stay undecided.
+    shape = (len(grid.train_fractions), len(grid.k_values), len(grid.l_values))
+    decided = np.zeros((2, *shape, len(test_idx)), dtype=bool)
+    for f, fraction in enumerate(grid.train_fractions):
+        train_size = round(fraction * pool_size)
+        ranked = full[full < train_size].reshape(len(test_idx), train_size)
+        for i, k in enumerate(grid.k_values):
+            if train_size >= k:
+                n_pos = pool_pos[ranked[:, :k]].sum(axis=1)
+                decided[:, f, i] = _vote(n_pos, k, thresholds_of[k])
+    pos, neg = decided & answered[test_idx]
+    outcomes = (pos & truth_pos, pos & ~truth_pos, neg & ~truth_pos, neg & truth_pos)
+    return np.stack((*outcomes, ~(pos | neg)), axis=-1).sum(axis=-2).reshape(-1, 5)
+
+
 def static_grid(
     trials: Sequence[LabeledTrial],
     grid: GridSpec = GridSpec(),
@@ -124,16 +155,17 @@ def static_grid(
     Per seed the trials are permuted once; the test split is the trailing
     100/704 share (at least one trial) and each training fraction takes a
     prefix of the remaining pool, so larger fractions extend smaller ones.
-    Each seed's test rows come from the distance store, which copies a
-    row's entries for trials with a stored row from those rows. They get
-    one stable sort over the whole pool: an unstable sort, kept for rows
-    whose sorted values strictly increase, with the other rows sorted again
-    stably. A fraction keeps the entries below its training size, which is
-    the stable order of its prefix, ties and NaN included. Per (fraction,
-    k) one vote over an (l-values, test trials) mask fills every l-value's
-    cell, and one reduction per seed counts every cell's outcomes. A cell's
-    statistics are left-fold means over seeds in seed order. Seeds must be
-    non-negative.
+    Each seed's test rows come from the metric's distance matrix, built
+    whole once per metric (8 * n**2 bytes; past 1 GiB the sweep raises
+    ValueError before any trial is preprocessed) and freed before the next
+    metric's is built. The rows get one stable sort over the whole pool: an
+    unstable sort, kept for rows whose sorted values strictly increase,
+    with the other rows sorted again stably. A fraction keeps the entries
+    below its training size, which is the stable order of its prefix, ties
+    and NaN included. Per (fraction, k) one vote over an (l-values, test
+    trials) mask fills every l-value's cell, and one reduction per seed
+    counts every cell's outcomes. A cell's statistics are left-fold means
+    over seeds in seed order. Seeds must be non-negative.
     """
     trials = list(trials)
     if not seeds:
@@ -154,37 +186,17 @@ def static_grid(
         k: np.array([[min_agreeing_count(k, l_value)] for l_value in grid.l_values])
         for k in grid.k_values
     }
-    shape = (len(grid.train_fractions), len(grid.k_values), len(grid.l_values))
     cells = list(itertools.product(grid.train_fractions, grid.k_values, grid.l_values))
     feasible = [round(fraction * pool_size) >= k for fraction, k, _ in cells]
     rows = []
     for metric in grid.metrics:
-        distances = _Distances(features, metric)
+        distances, answered = _distance_matrix(features, metric)
         # tp, fp, tn, fn and uncertain per (seed, cell).
-        counts = np.empty((len(seeds), len(cells), 5), dtype=np.int64)
-        for seed, seed_counts in zip(seeds, counts):
-            order = np.random.default_rng(seed).permutation(n)
-            pool_idx, test_idx = order[:pool_size], order[pool_size:]
-            pool_pos, truth_pos = is_pos[pool_idx], is_pos[test_idx]
-            # The test trials' rows: each test trial, as the query, to every pool trial.
-            dists = distances.between(pool_idx, test_idx)
-            # A stable sort keeps equal distances in pool order, so the columns
-            # below m of the full order are the stable order of the first m.
-            full = _stable_argsort(dists)
-            # Positive and negative votes per (fraction, k, l-value, test trial);
-            # infeasible cells (train_size < k) stay undecided.
-            decided = np.zeros((2, *shape, test_size), dtype=bool)
-            for f, fraction in enumerate(grid.train_fractions):
-                train_size = round(fraction * pool_size)
-                ranked = full[full < train_size].reshape(test_size, train_size)
-                for i, k in enumerate(grid.k_values):
-                    if train_size >= k:
-                        n_pos = pool_pos[ranked[:, :k]].sum(axis=1)
-                        decided[:, f, i] = _vote(n_pos, k, thresholds_of[k])
-            pos, neg = decided & distances.answered[test_idx]
-            outcomes = (pos & truth_pos, pos & ~truth_pos, neg & ~truth_pos, neg & truth_pos)
-            stacked = np.stack((*outcomes, ~(pos | neg)), axis=-1)
-            seed_counts[:] = stacked.sum(axis=-2).reshape(-1, 5)
+        counts = np.stack([
+            _split_counts(distances, answered, is_pos, pool_size, seed, grid, thresholds_of)
+            for seed in seeds
+        ])
+        del distances  # one matrix alive at a time: free it before the next metric's
         tp, fp, _, fn, uncertain = counts.transpose(2, 0, 1)
         means, _ = _fold_mean(counts[..., :4])
         uncertain_pcts, _ = _fold_mean(100.0 * uncertain / test_size)
@@ -218,8 +230,8 @@ def online_grid(
     trials = list(trials)
     rows = []
     for metric in grid.metrics:
-        # One distance store serves all k x l cells of a metric; a fresh
-        # cache per metric keeps at most one store alive.
+        # One distance matrix serves all k x l cells of a metric; rebinding
+        # the cache frees the last metric's matrix before this one is built.
         distances: dict = {}
         for k in grid.k_values:
             for l_value in grid.l_values:

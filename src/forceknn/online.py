@@ -214,64 +214,28 @@ class RunReport:
         return int(np.count_nonzero(self.records.verified))
 
 
-# The most a distance store holds: 1 GiB, or 2**27 / n rows of n distances.
-# Past it the store forgets its rows and starts over. A row for every trial
-# fits up to n = 11585; one run adds a row per dataset entry (108 at n = 704).
-_STORE_BYTES = 2**30
+# The most a distance matrix may take: 1 GiB, 8 * n**2 bytes for n trials, so n <= 11585.
+_MATRIX_BYTES = 2**30
 
 
-class _Distances:
-    """Distances between the rows of one feature matrix under one metric.
+def _distance_matrix(features: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """The distances between every two rows of ``features``, and which rows answer as queries.
 
-    Row j is filled the first time it is asked for: row ``slot[j]`` of
-    ``store`` holds the distances from every row of ``features`` (the
-    columns) to row j, by the per-query routine of ``classify`` with row j
-    as the query. That routine is symmetric to the bit, so row j also holds
-    each query's distance to reference j, and a new row takes its entries
-    for trials with a stored row from those rows. Only the other columns
-    are computed, against one copy of their features per call.
-    Under cosine a zero-norm row sits at distance 1 from every query and,
-    as a query, abstains (``answered``).
+    Row j is computed by the per-query routine of ``classify``, with row j as
+    the query, over rows j onwards, and mirrored into column j. That routine
+    is symmetric to the bit, so entry (i, j) is both query i's distance to
+    reference j and query j's to reference i. Under cosine a zero-norm row
+    sits at distance 1 from every query and, as a query, abstains.
     """
-
-    def __init__(self, features: np.ndarray, metric: Metric) -> None:
-        self.features = features
-        self.norms = _reference_norms(features)
-        self.metric = metric
-        # The zero-norm rule of _batch_distances, for every query at once.
-        zero = np.linalg.norm(features, axis=1) == 0.0
-        self.answered = ~zero if metric.kind == "cosine" else np.ones(len(features), dtype=bool)
-        self.slot = np.full(len(features), -1)
-        self.store = np.empty((0, len(features)))
-        self.n_rows = 0
-
-    def between(self, columns, rows: np.ndarray) -> np.ndarray:
-        """The stored ``rows`` (computed if missing), restricted to ``columns``, as one gather."""
-        missing = rows[self.slot[rows] < 0]
-        need = self.n_rows + len(missing)
-        if need > len(self.store):
-            n = len(self.slot)
-            limit = max(_STORE_BYTES // (8 * n), len(rows))  # rows the store may hold
-            if need > limit:  # full: forget every row, keep the asked-for ones
-                self.slot[:] = -1
-                self.n_rows, missing, need = 0, rows, len(rows)
-            if need > len(self.store):  # grow by doubling, up to the limit
-                grown = np.empty((min(n, limit, max(2 * len(self.store), need, 64)), n))
-                grown[: self.n_rows] = self.store[: self.n_rows]
-                self.store = grown
-        if len(missing):
-            new = slice(self.n_rows, self.n_rows + len(missing))
-            stored = np.flatnonzero(self.slot >= 0)
-            # Stored row i holds every query's distance to i, so also each new row's.
-            self.store[new, stored] = self.store[self.slot[stored][:, np.newaxis], missing].T
-            fresh = np.flatnonzero(self.slot < 0)
-            features, norms = self.features[fresh], self.norms[fresh]
-            for at, j in enumerate(missing, start=new.start):
-                row = _batch_distances(features, norms, self.features[j], self.metric)
-                self.store[at, fresh] = 1.0 if row is None else row
-            self.slot[missing] = np.arange(new.start, new.stop)
-            self.n_rows = new.stop
-        return self.store[self.slot[rows][:, np.newaxis], columns]
+    n = len(features)
+    norms = _reference_norms(features)
+    distances = np.empty((n, n))
+    for j in range(n):
+        row = _batch_distances(features[j:], norms[j:], features[j], metric)
+        distances[j, j:] = distances[j:, j] = 1.0 if row is None else row
+    # The zero-norm rule of _batch_distances, for every query at once.
+    answered = (metric.kind != "cosine") | (np.linalg.norm(features, axis=1) != 0.0)
+    return distances, answered
 
 
 class TrialDataError(ValueError):
@@ -279,13 +243,18 @@ class TrialDataError(ValueError):
 
 
 def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np.ndarray:
-    """The trials' preprocessed features, one row each.
+    """The trials' preprocessed features, one row each, for a distance matrix.
 
-    A finite trace near the float range can overflow while it is
-    preprocessed; ``preprocess`` raises a ``ValueError`` for it, re-raised
-    here as a ``TrialDataError``. A trace too short for the windows stays a
-    plain ``ValueError``: the config is at fault.
+    Raises ValueError before any trial is preprocessed when the trials'
+    distance matrix would pass ``_MATRIX_BYTES``. A finite trace near the
+    float range can overflow while it is preprocessed; ``preprocess`` raises
+    a ``ValueError`` for it, re-raised here as a ``TrialDataError``. A trace
+    too short for the windows stays a plain ``ValueError``: the config is at
+    fault.
     """
+    n = len(trials)
+    if 8 * n * n > _MATRIX_BYTES:
+        raise ValueError(f"{n} trials need a {8 * n * n}-byte distance matrix, over {_MATRIX_BYTES}")
     rows = []
     for trial in trials:
         try:
@@ -298,17 +267,18 @@ def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np
 
 
 def _rows(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
-    """Each trial's feature row, each row's positive flag, and the distances for ``cfg``."""
+    """Each trial's row, each row's positive flag, the distance matrix and its answering rows."""
     key = (cfg.metric, cfg.preprocess)  # an entry that lacks one of the trials is rebuilt
-    row_of, truth, distances = cache.get(key, ({}, None, None))
+    row_of, truth, distances, answered = cache.pop(key, ({}, None, None, None))
     rows = np.array([row_of.get(trial, -1) for trial in trials])
     if -1 in rows:
+        del distances  # free a stale entry's matrix before the new one is built
         row_of = {trial: i for i, trial in enumerate(trials)}  # two datasets may share ids
         truth = np.array([trial.truth is Label.POSITIVE for trial in trials])
-        distances = _Distances(_feature_matrix(trials, cfg.preprocess), cfg.metric)
-        cache[key] = row_of, truth, distances
+        distances, answered = _distance_matrix(_feature_matrix(trials, cfg.preprocess), cfg.metric)
         rows = np.arange(len(trials))
-    return rows, truth, distances
+    cache[key] = row_of, truth, distances, answered
+    return rows, truth, distances, answered
 
 
 def run_online(
@@ -323,17 +293,20 @@ def run_online(
     The loop itself is deterministic; ``rng_seed`` is only echoed into the
     report (it identifies the shuffle that produced the stream order).
     The snapshot is the dataset's feature rows and positive flags, in
-    insertion order, frozen between refreshes: each block of up to
-    ``retrain_interval`` queries is voted on in one step, over stored rows
-    of distances from each snapshot entry to every trial, by
-    ``_count_nearest`` and a table of the vote's verdict per positive count.
+    insertion order, frozen between refreshes. A block of
+    ``retrain_interval`` queries without a fallback leaves the next block
+    the same snapshot, so each step votes a window of blocks at once, by
+    ``_count_nearest`` over rows of the distance matrix and a table of the
+    vote's verdict per positive count. A step commits up to the end of its
+    first block with a fallback, or its whole window if none has one; the
+    window doubles after a step without a fallback and falls back to one
+    block after a step with one.
 
-    ``feature_cache`` memoises those rows, the features and each trial's row
-    under ``(cfg.metric, cfg.preprocess)``; share it across runs over the
-    same trials, and across l-values and k. An entry stores 8 * n bytes per
-    trial that has sat in a snapshot, for n trials: one run adds a row per
-    dataset entry, many runs approach 8 * n**2 bytes (4 MB at n = 704), and
-    no entry passes 1 GiB.
+    ``feature_cache`` memoises the distance matrix, 8 * n**2 bytes for n
+    trials (4 MB at n = 704), and each trial's row in it under
+    ``(cfg.metric, cfg.preprocess)``; share it across runs over the same
+    trials, and across l-values and k. Past 1 GiB (n > 11585) the run
+    raises ValueError before any trial is preprocessed.
 
     Raises ValueError if the stream is no longer than the seed phase, lacks
     one of the classes, or is exhausted before the seed quota is met.
@@ -343,7 +316,8 @@ def run_online(
         raise ValueError(
             f"stream of {len(trials)} trials is too short for seed_size {cfg.seed_size}"
         )
-    rows, truth, distances = _rows(trials, cfg, {} if feature_cache is None else feature_cache)
+    cache = {} if feature_cache is None else feature_cache
+    rows, truth, distances, answered = _rows(trials, cfg, cache)
     positive = truth[rows]
     if positive.all() or not positive.any():
         raise ValueError("trial stream must contain both classes")
@@ -357,12 +331,12 @@ def run_online(
     met[: cfg.seed_size - 1] = False  # fewer than seed_size samples
     if not met.any():
         raise ValueError("stream exhausted before the seed phase completed")
-    size = consumed = int(met.argmax()) + 1
+    size = start = int(met.argmax()) + 1
     # The dataset is the first size entries, rows and positive flags in insertion order:
     # the oracle labels each seed and fallback trial, and only those trials join.
     dataset, dataset_pos = rows.copy(), positive.copy()
     phase = np.full(len(trials), _CLASSIFIED, dtype=np.int8)
-    phase[:consumed] = _SEED
+    phase[:start] = _SEED
     predicted = positive.copy()
 
     # The vote's verdict for each count of positive neighbours, 0 to k.
@@ -370,18 +344,24 @@ def run_online(
     decided = pos_of | neg_of
     # Each block sees the snapshot taken at its start. The seed phase holds at
     # least seed_size >= k entries, so every snapshot has k neighbours to rank.
-    for start in range(consumed, len(trials), cfg.retrain_interval):
-        block = slice(start, start + cfg.retrain_interval)
-        queries = rows[block]
-        dists = distances.between(queries, dataset[:size])
+    interval = window = cfg.retrain_interval
+    while start < len(trials):
+        queries = rows[start : start + window]
+        # One gather by flat index: no (window, n) copy of whole rows on the way.
+        dists = distances.take(queries[:, np.newaxis] * len(distances) + dataset[:size])
         n_pos = _count_nearest(dists, dataset_pos[:size], cfg.k)
-        fallback = ~(decided[n_pos] & distances.answered[queries])
+        fallback = ~(decided[n_pos] & answered[queries])
+        if fallback.any():  # the snapshot changes after this fallback's block
+            end = (int(fallback.argmax()) // interval + 1) * interval
+            fallback, n_pos, window = fallback[:end], n_pos[:end], interval
+        else:
+            window *= 2
+        block = slice(start, start + len(fallback))
         predicted[block] = np.where(fallback, positive[block], pos_of[n_pos])
         phase[block][fallback] = _FALLBACK
-        joined = queries[fallback]
-        dataset[size : size + len(joined)] = joined
-        dataset_pos[size : size + len(joined)] = positive[block][fallback]
-        size += len(joined)
+        joined = slice(size, size + int(np.count_nonzero(fallback)))
+        dataset[joined], dataset_pos[joined] = rows[block][fallback], positive[block][fallback]
+        size, start = joined.stop, block.stop
 
     return RunReport(
         records=RecordColumns(ids, phase, predicted, positive),
@@ -416,9 +396,9 @@ def run_replicated(
 
     Run i shuffles with a seed derived deterministically from
     ``(base_seed, i)``, so replays are reproducible and runs are independent.
-    Every run ranks over the distance rows kept in ``feature_cache``, so a
-    row computed by one run serves the later ones (see ``run_online``; up to
-    8 * n**2 bytes per metric and preprocessing config).
+    Every run ranks over the distance matrix kept in ``feature_cache``, so
+    the matrix built for the first run serves the later ones (see
+    ``run_online``).
     """
     _check_runs(n_runs, base_seed)
     trials = list(trials)

@@ -8,10 +8,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import forceknn
+from forceknn import online
 from forceknn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from forceknn.dataset_io import read_dataset
 
@@ -231,6 +233,30 @@ def test_trial_whose_features_overflow_is_data_error(tmp_path, dataset, monkeypa
         warnings.simplefilter("error")  # an overflow warning would escape main()
         assert main([*argv, "--dataset", str(path)]) == EXIT_DATA
     assert f"data error: trial {trial_id}: " in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "out"),
+    [
+        (["online", "--out", "out", *ONLINE_FLAGS], "out"),
+        (["grid", "--out", "static.csv", "--mode", "static", "--k", "5"], "static.csv"),
+        (["grid", "--out", "online.csv", "--mode", "online", "--k", "5", *ONLINE_FLAGS],
+         "online.csv"),
+    ],
+    ids=["online", "grid-static", "grid-online"],
+)
+def test_distance_matrix_over_the_bound_is_infeasible_before_preprocessing(
+    tmp_path, dataset, monkeypatch, capsys, argv, out
+):
+    n = len(read_dataset(dataset))  # 36 trials: a 10 368-byte matrix
+    monkeypatch.setattr(online, "_MATRIX_BYTES", 8 * n * n - 1)
+    monkeypatch.setattr(online, "preprocess", mock.Mock(side_effect=AssertionError))
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--dataset", str(dataset)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"infeasible config: {n} trials need a {8 * n * n}-byte distance matrix" in err
+    online.preprocess.assert_not_called()
     assert not (tmp_path / out).exists()
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,25 @@ class TestStaticGrid:
     def test_negative_seed_rejected(self, trials):
         with pytest.raises(ValueError, match="seeds must be non-negative"):
             static_grid(trials, seeds=(0, -1))
+
+    def test_one_distance_matrix_alive_at_a_time(self):
+        # Coarse features keep each row fill's temporaries small beside the matrix.
+        # A split's sort holds about 0.6 matrices of (test, pool) arrays at any n,
+        # so one live matrix peaks near 1.6; a second one would pass 2.
+        trials = gen_dataset(150, 150, rng_seed=3)
+        coarse = PreprocessConfig(ds_window=50, ds_stride=50)
+        grid = GridSpec(k_values=(5, 11), l_values=(50.0, 100.0), train_fractions=(0.5, 1.0))
+        static_grid(trials[:40], grid, coarse)  # caches the smoothing projection
+        tracemalloc.start()
+        try:
+            static_grid(trials, grid, coarse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid.metrics) == 4
+        matrix = 8 * len(trials) ** 2
+        features = 8 * len(trials) * len(preprocess(trials[0].trace, coarse))
+        assert peak < 1.75 * matrix + features
 
     def test_tie_group_split_by_a_fraction_boundary(self):
         # Exact copies with the opposite label tie with their source on every

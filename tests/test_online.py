@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -191,6 +192,8 @@ class TestRunOnline:
             report = run_online(trials, LoopConfig(l_value=100.0))
             assert report.final_dataset_size == report.seed_count + report.fallback_count
             assert report.oracle_calls == report.verified_count
+            # plain ints, as the JSON writers and the benchmark's report take them
+            assert type(report.final_dataset_size) is type(report.oracle_calls) is int
             assert len(report.records) == len(trials)
 
     def test_oracle_soundness(self):
@@ -239,6 +242,69 @@ class TestRunOnline:
         trials = small_stream(14, 16, seed=21)
         cfg = LoopConfig(l_value=100.0)
         assert run_online(trials, cfg) == run_online(trials, cfg)
+
+
+IDENTITY = PreprocessConfig(sg_window=1, sg_order=0, ds_window=1, ds_stride=1)
+P, N = Label.POSITIVE, Label.NEGATIVE
+SEED, OK, FALLBACK = Phase.SEED, Phase.CLASSIFIED, Phase.FALLBACK
+
+
+def point_stream(points):
+    """Trials whose features are the given points: (samples, truth) pairs."""
+    return [
+        LabeledTrial(f"t{i}", ForceTrace(np.atleast_1d(np.asarray(x, dtype=float)), 4.0), truth)
+        for i, (x, truth) in enumerate(points)
+    ]
+
+
+# Seed: positives at 0 and 1, negatives at 10 and 11. Under k=2 a query at
+# 5.4 has one neighbour of each class (4.4 and 4.6 away) and falls back; once
+# one 5.4 has joined, the next is classified. Every other query is classified.
+LINE = [(0, P), (1, P), (10, N), (11, N)] + [
+    (0.5, P), (10.5, N),
+    (0.4, P), (10.4, N), (0.6, P), (10.6, N),
+    (0.3, P), (10.3, N), (0.7, P), (10.7, N), (5.4, P), (5.4, P), (5.4, P), (10.2, N),
+    (0.2, P), (10.8, N), (0.1, P),
+]
+# Seed: positives near (1, 0), negatives near (0, 1). The one zero-norm query
+# abstains under cosine and joins at distance 1 from every later query.
+PLANE = [((1, 0.1), P), ((1, 0.2), P), ((0.1, 1), N), ((0.2, 1), N)] + [
+    ((1, 0.15), P), ((0.15, 1), N),
+    ((1, 0.12), P), ((0.12, 1), N), ((1, 0.18), P), ((0.18, 1), N),
+    ((1, 0.11), P), ((0.11, 1), N), ((1, 0.19), P), ((0.19, 1), N), ((0, 0), N), ((1, 0.14), P),
+    ((0.14, 1), N), ((1, 0.16), P),
+    ((0.16, 1), N), ((1, 0.13), P), ((0.13, 1), N),
+]
+
+
+class TestVoteAhead:
+    """Hand-built streams whose snapshot holds for several blocks, against the reference."""
+
+    @pytest.mark.parametrize(
+        ("points", "metric", "interval", "phases"),
+        [
+            # Windows of 1, 2 and 4 blocks of 2: the 5.4s fall back in the third
+            # block of the 4-block window, so the step commits three blocks and
+            # recomputes the fourth on the new snapshot; the last window of 2
+            # blocks runs past the stream's end.
+            (LINE, EUCLIDEAN, 2, [SEED] * 4 + [OK] * 10 + [FALLBACK] * 2 + [OK] * 5),
+            # One-query blocks: the second 5.4 already sees the first.
+            (LINE, EUCLIDEAN, 1, [SEED] * 4 + [OK] * 10 + [FALLBACK] + [OK] * 6),
+            (PLANE, COSINE, 2, [SEED] * 4 + [OK] * 10 + [FALLBACK] + [OK] * 6),
+        ],
+        ids=["mid-window", "interval-1", "cosine-zero-norm"],
+    )
+    def test_matches_reference(self, points, metric, interval, phases):
+        stream = point_stream(points)
+        cfg = LoopConfig(
+            k=2, metric=metric, retrain_interval=interval, seed_size=4, preprocess=IDENTITY
+        )
+        report = run_online(stream, cfg)
+        assert (report.records, report.final_dataset_size, report.oracle_calls) == reference_run(
+            stream, cfg
+        )
+        assert [record.phase for record in report.records] == phases
+        assert all(record.predicted is record.truth for record in report.records)
 
 
 class TestRecordColumns:
@@ -356,6 +422,21 @@ class TestRunReplicated:
         run_online(first, cfg, feature_cache=shared)
         assert run_online(second, cfg, feature_cache=shared) == run_online(second, cfg)
 
+    def test_cache_entry_rebuilt_for_another_dataset_frees_the_old_matrix_first(self):
+        coarse = PreprocessConfig(ds_window=50, ds_stride=50)  # small beside the matrix
+        cfg = LoopConfig(k=5, seed_size=12, l_value=50.0, preprocess=coarse)
+        first, second = gen_dataset(150, 150, rng_seed=1), gen_dataset(150, 150, rng_seed=2)
+        shared: dict = {}
+        tracemalloc.start()
+        try:
+            run_online(first, cfg, feature_cache=shared)
+            tracemalloc.reset_peak()
+            run_online(second, cfg, feature_cache=shared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * len(second) ** 2  # two matrices at once would pass 2
+
     def test_calls_run_online_once_per_run_through_the_module(self):
         # The benchmark's tracer wraps online.run_online and sums the oracle
         # calls of the reports it returns; that count must equal the verified
@@ -433,23 +514,14 @@ class TestDistanceStore:
             features[i] = features[j]
         norms = _reference_norms(features)
         expected = np.ones((n, n))  # a zero-norm cosine query's row is all 1.0
+        expected_answered = np.zeros(n, dtype=bool)
         for j in range(n):
             row = _batch_distances(features, norms, features[j], metric)
             if row is not None:
-                expected[j] = row
-        requests = data.draw(
-            st.lists(st.lists(index, min_size=1, unique=True), min_size=1, max_size=8),
-            label="requested rows",
-        )
-        store_rows = data.draw(st.integers(1, n), label="store rows")
-        # The store starts over when the new rows of a request do not fit in store_rows.
-        with mock.patch.object(online, "_STORE_BYTES", 8 * n * store_rows):
-            store = online._Distances(features, metric)
-            for request in requests:
-                rows = np.array(request)
-                columns = np.array(data.draw(st.permutations(range(n)), label="columns"))
-                got = store.between(columns, rows)
-                assert got.tobytes() == expected[np.ix_(rows, columns)].tobytes()
+                expected[j], expected_answered[j] = row, True
+        distances, answered = online._distance_matrix(features, metric)
+        assert distances.tobytes() == expected.tobytes()
+        assert np.array_equal(answered, expected_answered)
 
 
 # Distances drawn mostly from values that tie or do not order: -0.0 equals 0.0,
@@ -464,41 +536,39 @@ class TestCountNearest:
     @given(data=st.data())
     def test_equals_the_count_over_the_stable_sort(self, data):
         n = data.draw(st.integers(1, 12), label="entries")
-        queries = data.draw(st.integers(0, 6), label="queries (0: one 1-d column)")
+        queries = data.draw(st.integers(0, 6), label="queries (0: one 1-d row)")
         if queries == 0:
             dists = data.draw(hnp.arrays(np.float64, n, elements=DISTANCES), label="dists")
         elif data.draw(st.booleans(), label="transposed"):
-            drawn = data.draw(hnp.arrays(np.float64, (queries, n), elements=DISTANCES))
-            dists = drawn.T  # a strided (entries, queries) view
+            drawn = data.draw(hnp.arrays(np.float64, (n, queries), elements=DISTANCES))
+            dists = drawn.T  # a strided (queries, entries) view
         else:
-            dists = data.draw(hnp.arrays(np.float64, (n, queries), elements=DISTANCES))
+            dists = data.draw(hnp.arrays(np.float64, (queries, n), elements=DISTANCES))
         is_pos = data.draw(hnp.arrays(np.bool_, n), label="is_pos")
         k = data.draw(st.integers(1, n), label="k")
-        expected = is_pos[np.argsort(dists, axis=0, kind="stable")[:k]].sum(axis=0)
+        expected = is_pos[np.argsort(dists, axis=-1, kind="stable")[..., :k]].sum(axis=-1)
         with mock.patch.object(np, "argsort", wraps=np.argsort) as stable_sort:
             got = _count_nearest(dists, is_pos, k)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
-        # Only columns whose k nearest are not one set by value alone are sorted:
-        # the k-th smallest is NaN or equals the next one (a NaN row pads k = n).
-        columns = dists.reshape(n, -1)
-        ordered = np.sort(np.vstack([columns, np.full(columns.shape[1], np.nan)]), axis=0)
-        undetermined = np.isnan(ordered[k - 1]) | (ordered[k] == ordered[k - 1])
+        # Only rows whose k nearest are not one set by value alone are sorted:
+        # the k-th smallest is NaN or equals the next one (a NaN column pads k = n).
+        rows = dists.reshape(-1, n)
+        ordered = np.sort(np.hstack([rows, np.full((len(rows), 1), np.nan)]), axis=1)
+        undetermined = np.isnan(ordered[:, k - 1]) | (ordered[:, k] == ordered[:, k - 1])
         calls = stable_sort.call_args_list
-        sorted_columns = sum(call.args[0].reshape(n, -1).shape[1] for call in calls)
-        assert sorted_columns == np.count_nonzero(undetermined)
+        sorted_rows = sum(call.args[0].reshape(-1, n).shape[0] for call in calls)
+        assert sorted_rows == np.count_nonzero(undetermined)
 
 
 class TestBatchedReplayMatchesReference:
     @settings(deadline=None, max_examples=100)
-    @given(case=replay_cases(), base_seed=st.integers(0, 2**32), store_rows=st.integers(1, 60))
-    def test_run_online_and_run_replicated(self, case, base_seed, store_rows):
+    @given(case=replay_cases(), base_seed=st.integers(0, 2**32))
+    def test_run_online_and_run_replicated(self, case, base_seed):
         stream, cfg = case
         cache: dict = {}
-        # A store of few rows starts over often; one of 46 or more never does.
-        with mock.patch.object(online, "_STORE_BYTES", 8 * len(stream) * store_rows):
-            report = run_online(stream, cfg, feature_cache=cache)
-            replicated = run_replicated(stream, cfg, 2, base_seed, feature_cache=cache)
+        report = run_online(stream, cfg, feature_cache=cache)
+        replicated = run_replicated(stream, cfg, 2, base_seed, feature_cache=cache)
         assert (report.records, report.final_dataset_size, report.oracle_calls) == reference_run(
             stream, cfg
         )
