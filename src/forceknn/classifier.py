@@ -153,12 +153,14 @@ def _batch_distances(
         # distance depend on which snapshot holds it.
         sims = np.vecdot(matrix, query) / (norms * query_norm)
         return 1.0 - np.clip(sims, -1.0, 1.0)
-    diff = matrix - query
+    diff = matrix - query  # a fresh array: the kernels below work in it
     if metric.kind == "euclidean":
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    np.abs(diff, out=diff)
     if metric.kind == "manhattan":
-        return np.abs(diff).sum(axis=1)
-    return (np.abs(diff) ** metric.p).sum(axis=1) ** (1.0 / metric.p)
+        return diff.sum(axis=1)
+    diff **= metric.p  # the same power as ``diff ** metric.p``, square and sqrt shortcuts included
+    return diff.sum(axis=1) ** (1.0 / metric.p)
 
 
 def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> float:

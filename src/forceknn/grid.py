@@ -3,14 +3,14 @@
 Static mode works on fixed splits: hold out a test share at the 604:100
 ratio, subsample the remaining pool down to each training fraction,
 classify the test split and average per-cell statistics over shuffle seeds.
-It ranks through the online replay's distance matrix: one per metric,
-shared by every seed and released before the next metric's is built; each
-seed reads its test trials' rows. The rows are sorted
-once per (metric, seed) over the whole pool, by numpy's unstable SIMD sort
-with an audit that sorts again stably every row holding a tie; each
-training fraction filters that order down to its prefix, and one vote per
-k decides all l-values at once. Online mode replays the growing-dataset
-loop per (k, metric, l) cell.
+It ranks through the online replay's distance rows, filled only for the
+trials some seed tests: one matrix per metric, shared by every seed and
+released before the next metric's is built. The rows are sorted once per
+(metric, seed) over the whole pool, by numpy's unstable SIMD sort with an
+audit that sorts again stably every row holding a tie; each training
+fraction filters that order down to its prefix, and one vote decides all
+its k and l-values at once. Online mode replays the growing-dataset loop
+per (k, metric, l) cell.
 
 Cells that cannot run (training set smaller than k, or a loop config whose
 seed phase cannot cover k) are emitted as explicit ``infeasible`` rows.
@@ -113,35 +113,37 @@ def _stable_argsort(dists: np.ndarray) -> np.ndarray:
 
 
 def _split_counts(
-    distances: np.ndarray, answered: np.ndarray, is_pos: np.ndarray, pool_size: int,
-    seed: int, grid: GridSpec, thresholds_of: dict,
+    distances: np.ndarray, rows: np.ndarray, answered: np.ndarray, is_pos: np.ndarray,
+    order: np.ndarray, pool_size: int, grid: GridSpec, thresholds: np.ndarray,
 ) -> np.ndarray:
-    """tp, fp, tn, fn and uncertain of each of ``static_grid``'s cells on one split seed.
+    """tp, fp, tn, fn and uncertain of each of ``static_grid``'s cells on the split ``order``.
 
-    The split's arrays live for this call only, so none of them is alive
-    while the next seed's or the next metric's are built.
+    Test trial t's distance row is ``distances[searchsorted(rows, t)]``. The split's
+    arrays live for this call only, so none is alive while the next are built.
     """
-    order = np.random.default_rng(seed).permutation(len(is_pos))
     pool_idx, test_idx = order[:pool_size], order[pool_size:]
     pool_pos, truth_pos = is_pos[pool_idx], is_pos[test_idx]
     # The test trials' rows (each test trial, as the query, to every pool trial)
     # in stable order: equal distances keep pool order, so the columns below m
-    # of the full order are the stable order of the first m.
-    full = _stable_argsort(distances.take(test_idx, axis=0).take(pool_idx, axis=1))
-    # Positive and negative votes per (fraction, k, l-value, test trial);
-    # infeasible cells (train_size < k) stay undecided.
-    shape = (len(grid.train_fractions), len(grid.k_values), len(grid.l_values))
+    # of the full order are the stable order of the first m. int32 (n < 2**14) extracts faster.
+    full = _stable_argsort(distances[np.ix_(np.searchsorted(rows, test_idx), pool_idx)])
+    full = full.astype(np.int32)
+    # Positive and negative votes per (fraction, k, l-value, test trial), every k's count
+    # read off one running count; infeasible cells (train_size < k) stay undecided.
+    k_values = np.array(grid.k_values)
+    shape = (len(grid.train_fractions), len(k_values), len(grid.l_values))
     decided = np.zeros((2, *shape, len(test_idx)), dtype=bool)
     for f, fraction in enumerate(grid.train_fractions):
         train_size = round(fraction * pool_size)
-        ranked = full[full < train_size].reshape(len(test_idx), train_size)
-        for i, k in enumerate(grid.k_values):
-            if train_size >= k:
-                n_pos = pool_pos[ranked[:, :k]].sum(axis=1)
-                decided[:, f, i] = _vote(n_pos, k, thresholds_of[k])
+        feasible = k_values <= train_size
+        if feasible.any():
+            ks = k_values[feasible]
+            ranked = np.extract(full < train_size, full).reshape(len(test_idx), train_size)
+            n_pos = np.cumsum(pool_pos[ranked[:, : ks.max()]], axis=1)[:, ks - 1].T[:, np.newaxis]
+            decided[:, f, feasible] = _vote(n_pos, ks.reshape(-1, 1, 1), thresholds[feasible])
     pos, neg = decided & answered[test_idx]
-    outcomes = (pos & truth_pos, pos & ~truth_pos, neg & ~truth_pos, neg & truth_pos)
-    return np.stack((*outcomes, ~(pos | neg)), axis=-1).sum(axis=-2).reshape(-1, 5)
+    outcomes = (pos & truth_pos, pos & ~truth_pos, neg & ~truth_pos, neg & truth_pos, ~(pos | neg))
+    return np.count_nonzero(np.stack(outcomes, axis=-2), axis=-1).reshape(-1, 5)
 
 
 def static_grid(
@@ -155,17 +157,15 @@ def static_grid(
     Per seed the trials are permuted once; the test split is the trailing
     100/704 share (at least one trial) and each training fraction takes a
     prefix of the remaining pool, so larger fractions extend smaller ones.
-    Each seed's test rows come from the metric's distance matrix, built
-    whole once per metric (8 * n**2 bytes; past 1 GiB the sweep raises
-    ValueError before any trial is preprocessed) and freed before the next
-    metric's is built. The rows get one stable sort over the whole pool: an
-    unstable sort, kept for rows whose sorted values strictly increase,
-    with the other rows sorted again stably. A fraction keeps the entries
-    below its training size, which is the stable order of its prefix, ties
-    and NaN included. Per (fraction, k) one vote over an (l-values, test
-    trials) mask fills every l-value's cell, and one reduction per seed
-    counts every cell's outcomes. A cell's statistics are left-fold means
-    over seeds in seed order. Seeds must be non-negative.
+    Per metric one matrix holds the distance rows of the trials some seed tests
+    (388 of 704 on the default seeds), freed before the next metric's is built;
+    the bound check still counts 8 * n**2 bytes (past 1 GiB, ValueError before
+    any trial is preprocessed). Each seed's test rows get one stable sort over
+    the pool: an unstable sort, with rows whose sorted values do not strictly
+    increase sorted again stably. A fraction keeps the entries below its
+    training size, the stable order of its prefix, ties and NaN included, and
+    one vote fills its every (k, l-value) cell. A cell's statistics are
+    left-fold means over seeds in seed order. Seeds must be non-negative.
     """
     trials = list(trials)
     if not seeds:
@@ -179,22 +179,22 @@ def static_grid(
     n = len(trials)
     test_size = max(1, round(n * _TEST_SHARE))
     pool_size = n - test_size
+    orders = [np.random.default_rng(seed).permutation(n) for seed in seeds]
+    tested = np.unique(np.concatenate([order[pool_size:] for order in orders]))
 
-    # One column of N_c per k, one row per l-value: a vote over it decides
-    # every l-value of a (fraction, k) at once.
-    thresholds_of = {
-        k: np.array([[min_agreeing_count(k, l_value)] for l_value in grid.l_values])
-        for k in grid.k_values
-    }
+    # N_c per (k, l-value): one vote decides every (k, l-value) of a fraction.
+    thresholds = np.array(
+        [[[min_agreeing_count(k, l_value)] for l_value in grid.l_values] for k in grid.k_values]
+    )
     cells = list(itertools.product(grid.train_fractions, grid.k_values, grid.l_values))
     feasible = [round(fraction * pool_size) >= k for fraction, k, _ in cells]
     rows = []
     for metric in grid.metrics:
-        distances, answered = _distance_matrix(features, metric)
+        distances, answered = _distance_matrix(features, metric, tested)
         # tp, fp, tn, fn and uncertain per (seed, cell).
         counts = np.stack([
-            _split_counts(distances, answered, is_pos, pool_size, seed, grid, thresholds_of)
-            for seed in seeds
+            _split_counts(distances, tested, answered, is_pos, order, pool_size, grid, thresholds)
+            for order in orders
         ])
         del distances  # one matrix alive at a time: free it before the next metric's
         tp, fp, _, fn, uncertain = counts.transpose(2, 0, 1)

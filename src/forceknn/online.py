@@ -11,6 +11,7 @@ classifications between refreshes deliberately use a stale snapshot.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ import numpy as np
 # the single-query API through this module.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
 from .classifier import _batch_distances, _count_nearest, _reference_norms, _vote
-from .signal import ForceTrace, PreprocessConfig, preprocess
+from .signal import ForceTrace, PreprocessConfig, _features, preprocess
 
 __all__ = [
     "LabeledTrial",
@@ -216,23 +217,29 @@ class RunReport:
 
 # The most a distance matrix may take: 1 GiB, 8 * n**2 bytes for n trials, so n <= 11585.
 _MATRIX_BYTES = 2**30
+_STACK = 16  # traces per preprocessing pass: larger stacks save little and hold more memory
 
 
-def _distance_matrix(features: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
-    """The distances between every two rows of ``features``, and which rows answer as queries.
+def _distance_matrix(
+    features: np.ndarray, metric: Metric, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(len(rows), n)`` distances from unique ``rows`` (default all), and which rows answer.
 
-    Row j is computed by the per-query routine of ``classify``, with row j as
-    the query, over rows j onwards, and mirrored into column j. That routine
-    is symmetric to the bit, so entry (i, j) is both query i's distance to
-    reference j and query j's to reference i. Under cosine a zero-norm row
-    sits at distance 1 from every query and, as a query, abstains.
+    With the features taken ``rows`` first, row r is computed by ``classify``'s
+    per-query routine, the r-th as the query over the r-th onwards, and mirrored
+    into the columns of the later ``rows``. That routine is symmetric to the bit,
+    so the rows equal the square matrix's. Under cosine a zero-norm row sits at
+    distance 1 from every query and, as a query, abstains.
     """
     n = len(features)
-    norms = _reference_norms(features)
-    distances = np.empty((n, n))
-    for j in range(n):
-        row = _batch_distances(features[j:], norms[j:], features[j], metric)
-        distances[j, j:] = distances[j:, j] = 1.0 if row is None else row
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    order = np.concatenate((rows, np.delete(np.arange(n), rows)))
+    ordered, norms = features[order], _reference_norms(features)[order]
+    distances = np.empty((len(rows), n))
+    for r in range(len(rows)):
+        row = _batch_distances(ordered[r:], norms[r:], ordered[r], metric)
+        distances[r, order[r:]] = 1.0 if row is None else row
+        distances[r:, order[r]] = 1.0 if row is None else row[: len(rows) - r]
     # The zero-norm rule of _batch_distances, for every query at once.
     answered = (metric.kind != "cosine") | (np.linalg.norm(features, axis=1) != 0.0)
     return distances, answered
@@ -245,25 +252,28 @@ class TrialDataError(ValueError):
 def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np.ndarray:
     """The trials' preprocessed features, one row each, for a distance matrix.
 
-    Raises ValueError before any trial is preprocessed when the trials'
-    distance matrix would pass ``_MATRIX_BYTES``. A finite trace near the
-    float range can overflow while it is preprocessed; ``preprocess`` raises
-    a ``ValueError`` for it, re-raised here as a ``TrialDataError``. A trace
-    too short for the windows stays a plain ``ValueError``: the config is at
-    fault.
+    Up to ``_STACK`` consecutive traces of one length pass through ``preprocess``'s
+    kernel at once, each row equal to ``preprocess``'s bit for bit. Raises ValueError
+    before any trial is preprocessed when the trials' distance matrix would pass
+    ``_MATRIX_BYTES``. A stack whose finite traces overflow sends the first such
+    trial through ``preprocess``, whose ``ValueError`` becomes a ``TrialDataError``
+    naming it. A trace too short for the windows stays a plain ``ValueError``.
     """
     n = len(trials)
     if 8 * n * n > _MATRIX_BYTES:
         raise ValueError(f"{n} trials need a {8 * n * n}-byte distance matrix, over {_MATRIX_BYTES}")
-    rows = []
-    for trial in trials:
-        try:
-            rows.append(preprocess(trial.trace, cfg).values)
-        except ValueError as exc:
-            if len(trial.trace) < max(cfg.sg_window, cfg.ds_window):
-                raise
-            raise TrialDataError(f"trial {trial.id}: {exc}") from None
-    return np.stack(rows)
+    stacks = []
+    for _, same_length in itertools.groupby(trials, key=lambda trial: len(trial.trace)):
+        same_length = list(same_length)
+        for stack in (same_length[i : i + _STACK] for i in range(0, len(same_length), _STACK)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                stacks.append(_features(np.stack([trial.trace.samples for trial in stack]), cfg))
+            for trial in itertools.compress(stack, ~np.isfinite(stacks[-1]).all(axis=1)):
+                try:  # the first trial that overflows raises
+                    preprocess(trial.trace, cfg)
+                except ValueError as exc:
+                    raise TrialDataError(f"trial {trial.id}: {exc}") from None
+    return np.concatenate(stacks)
 
 
 def _rows(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):

@@ -1,10 +1,10 @@
 """Force-trace preprocessing: Savitzky-Golay smoothing and mean down-sampling.
 
 The smoothing filter is a fixed projection matrix, cached per (window, order).
-``preprocess`` runs both steps in one pass over plain arrays, with no
-intermediate trace object; it shares its two kernels (the smoother and the
-window view) with ``savgol_smooth`` and ``downsample_mean``, so its features
-equal theirs composed, bit for bit.
+``preprocess`` runs both steps over plain arrays, with no intermediate trace
+object, by kernels that work along the last axis of one trace or a stack of
+traces. ``savgol_smooth``, ``downsample_mean`` and the replay's stacked
+feature matrix share them, so all their features agree bit for bit.
 """
 
 from __future__ import annotations
@@ -118,38 +118,47 @@ def _savgol_projection(window: int, order: int) -> np.ndarray:
 
 
 def _windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """Read-only view of every ``stride``-th length-``window`` run of contiguous ``x``.
+    """View of every ``stride``-th length-``window`` run along the last axis of contiguous ``x``.
 
-    The same shape and strides as ``sliding_window_view(x, window)[::stride]``,
-    built without its Python overhead. ``np.add.reduce(rows, axis=1) / window``
-    over it is exactly ``rows.mean(axis=1)`` for float64.
+    For one trace, the shape and strides of ``sliding_window_view(x, window)[::stride]``,
+    built without its Python overhead; read-only when ``x`` is, and only ever an operand.
+    ``np.add.reduce(rows, axis=-1) / window`` over it is exactly ``rows.mean(axis=-1)``.
     """
-    if x.size < window:
-        raise ValueError(f"trace of length {x.size} is shorter than window {window}")
-    shape = ((x.size - window) // stride + 1, window)
-    rows = np.ndarray(shape, x.dtype, buffer=x, strides=(stride * x.itemsize, x.itemsize))
-    rows.flags.writeable = False
-    return rows
+    length = x.shape[-1]
+    if length < window:
+        raise ValueError(f"trace of length {length} is shorter than window {window}")
+    shape = x.shape[:-1] + ((length - window) // stride + 1, window)
+    strides = x.strides[:-1] + (stride * x.itemsize, x.itemsize)
+    return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
 
 def _smooth(x: np.ndarray, window: int, order: int) -> np.ndarray:
-    """Savitzky-Golay smoothing of contiguous ``x`` into a new array.
+    """Savitzky-Golay smoothing along the last axis of contiguous ``x``, into a new array.
 
-    The interior goes first, so a trace shorter than ``window`` gets the
-    length error from ``_windows``, not a shape error from an edge product.
+    The interior goes first, so a too-short trace gets ``_windows``' length error. Each
+    edge is one matrix-vector product per trace, so a stacked trace keeps its lone bits.
     """
     projection = _savgol_projection(window, order)
-    half = window // 2
+    half, stop = window // 2, x.shape[-1] - window // 2
     smoothed = np.empty_like(x)
-    smoothed[half : x.size - half] = _windows(x, window, 1) @ projection[half]
-    smoothed[:half] = projection[:half] @ x[:window]
-    smoothed[x.size - half :] = projection[half + 1 :] @ x[-window:]
+    smoothed[..., half:stop] = _windows(x, window, 1) @ projection[half]
+    np.matmul(projection[:half], x[..., :window, None], out=smoothed[..., :half, None])
+    np.matmul(projection[half + 1 :], x[..., -window:, None], out=smoothed[..., stop:, None])
     return smoothed
 
 
-def _window_means(x: np.ndarray, window: int, stride: int) -> FeatureVector:
-    """Window means of ``x`` as features; overflow raises ``_OVERFLOW``. Callers silence numpy."""
-    values = np.add.reduce(_windows(x, window, stride), axis=1) / window
+def _window_means(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Means of every ``stride``-th length-``window`` run along the last axis of ``x``."""
+    return np.add.reduce(_windows(x, window, stride), axis=-1) / window
+
+
+def _features(x: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    """``preprocess``'s values of a trace or a stack of traces; overflow leaves them non-finite."""
+    return _window_means(_smooth(x, cfg.sg_window, cfg.sg_order), cfg.ds_window, cfg.ds_stride)
+
+
+def _feature_vector(values: np.ndarray) -> FeatureVector:
+    """``values`` as features; non-finite values (an overflow) raise ``_OVERFLOW``."""
     try:
         return FeatureVector(values)
     except ValueError:
@@ -194,7 +203,7 @@ def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> Fe
     if stride < 1:
         raise ValueError("stride must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _window_means(trace.samples, window, stride)
+        return _feature_vector(_window_means(trace.samples, window, stride))
 
 
 def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) -> FeatureVector:
@@ -205,5 +214,4 @@ def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) ->
     ``ValueError`` as ``savgol_smooth``, without numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        smoothed = _smooth(trace.samples, cfg.sg_window, cfg.sg_order)
-        return _window_means(smoothed, cfg.ds_window, cfg.ds_stride)
+        return _feature_vector(_features(trace.samples, cfg))

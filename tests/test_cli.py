@@ -251,11 +251,14 @@ def test_distance_matrix_over_the_bound_is_infeasible_before_preprocessing(
 ):
     n = len(read_dataset(dataset))  # 36 trials: a 10 368-byte matrix
     monkeypatch.setattr(online, "_MATRIX_BYTES", 8 * n * n - 1)
+    # The stacked feature kernel, and preprocess, which it calls for a trial that overflows.
+    monkeypatch.setattr(online, "_features", mock.Mock(side_effect=AssertionError))
     monkeypatch.setattr(online, "preprocess", mock.Mock(side_effect=AssertionError))
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--dataset", str(dataset)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"infeasible config: {n} trials need a {8 * n * n}-byte distance matrix" in err
+    online._features.assert_not_called()
     online.preprocess.assert_not_called()
     assert not (tmp_path / out).exists()
 

@@ -258,6 +258,23 @@ class TestStaticGrid:
         features = 8 * len(trials) * len(preprocess(trials[0].trace, coarse))
         assert peak < 1.75 * matrix + features
 
+    def test_fills_only_the_tested_rows(self):
+        # Two seeds test at most 86 of 300 trials, so the restricted matrix and a
+        # split's arrays stay well below one square matrix.
+        trials = gen_dataset(150, 150, rng_seed=3)
+        coarse = PreprocessConfig(ds_window=50, ds_stride=50)
+        grid = GridSpec(k_values=(5, 11), l_values=(50.0, 100.0), train_fractions=(0.5, 1.0))
+        static_grid(trials[:40], grid, coarse, seeds=(0, 1))  # caches the smoothing projection
+        tracemalloc.start()
+        try:
+            static_grid(trials, grid, coarse, seeds=(0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * len(trials) ** 2
+        features = 8 * len(trials) * len(preprocess(trials[0].trace, coarse))
+        assert peak < matrix + features
+
     def test_tie_group_split_by_a_fraction_boundary(self):
         # Exact copies with the opposite label tie with their source on every
         # metric, and all-zero traces tie with each other; the seed puts
@@ -346,14 +363,16 @@ def static_cases(draw):
     pool = trials + copies + zeros
     dataset = [pool[i] for i in draw(st.permutations(range(len(pool))))]
     metrics = [COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0)]
+    # Up to 4 k values, reaching past the smallest training sizes, so that one
+    # fraction's vote can hold feasible and infeasible k side by side.
     grid = GridSpec(
-        k_values=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2, unique=True))),
+        k_values=tuple(draw(st.lists(st.integers(1, 15), min_size=1, max_size=4, unique=True))),
         metrics=tuple(
             draw(st.lists(st.sampled_from(metrics), min_size=1, max_size=2, unique=True))
         ),
         l_values=tuple(draw(st.lists(st.floats(50.0, 100.0), min_size=1, max_size=2, unique=True))),
         train_fractions=tuple(
-            draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2, unique=True))
+            draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3, unique=True))
         ),
     )
     seeds = tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=2)))
@@ -420,12 +439,13 @@ class TestOnlineGrid:
         from forceknn.online import run_replicated
 
         preprocessed = []
+        feature_matrix = forceknn.online._feature_matrix
 
-        def counting_preprocess(trace, cfg):
-            preprocessed.append(trace)
-            return preprocess(trace, cfg)
+        def counting_feature_matrix(trials, cfg):
+            preprocessed.extend(trial.trace for trial in trials)
+            return feature_matrix(trials, cfg)
 
-        monkeypatch.setattr(forceknn.online, "preprocess", counting_preprocess)
+        monkeypatch.setattr(forceknn.online, "_feature_matrix", counting_feature_matrix)
         grid = GridSpec(
             k_values=(3, 5),
             metrics=(COSINE, EUCLIDEAN, minkowski(3.0)),

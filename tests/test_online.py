@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -497,21 +498,28 @@ def replay_cases(draw):
     return stream, cfg
 
 
+@st.composite
+def feature_rows(draw):
+    """Rows of very different scales, some of them all zero and some exact duplicates."""
+    n = draw(st.integers(2, 24), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    features = rng.normal(size=(n, 9)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+    index = st.integers(0, n - 1)
+    for i in draw(st.lists(index, max_size=3), label="zero-norm rows"):
+        features[i] = 0.0
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=4), label="duplicates"):
+        features[i] = features[j]
+    return features
+
+
+METRICS = st.sampled_from([COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0), minkowski(1.5)])
+
+
 class TestDistanceStore:
     @settings(deadline=None, max_examples=150)
-    @given(
-        metric=st.sampled_from([COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0), minkowski(1.5)]),
-        data=st.data(),
-    )
-    def test_rows_equal_batch_distances_over_the_full_matrix(self, metric, data):
-        n = data.draw(st.integers(2, 24), label="n")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
-        features = rng.normal(size=(n, 9)) * rng.uniform(1e-3, 1e3, size=(n, 1))
-        index = st.integers(0, n - 1)
-        for i in data.draw(st.lists(index, max_size=3), label="zero-norm rows"):
-            features[i] = 0.0
-        for i, j in data.draw(st.lists(st.tuples(index, index), max_size=4), label="duplicates"):
-            features[i] = features[j]
+    @given(metric=METRICS, features=feature_rows())
+    def test_rows_equal_batch_distances_over_the_full_matrix(self, metric, features):
+        n = len(features)
         norms = _reference_norms(features)
         expected = np.ones((n, n))  # a zero-norm cosine query's row is all 1.0
         expected_answered = np.zeros(n, dtype=bool)
@@ -522,6 +530,58 @@ class TestDistanceStore:
         distances, answered = online._distance_matrix(features, metric)
         assert distances.tobytes() == expected.tobytes()
         assert np.array_equal(answered, expected_answered)
+
+    @settings(deadline=None, max_examples=150)
+    @given(metric=METRICS, features=feature_rows(), data=st.data())
+    def test_restricted_rows_equal_the_square_matrix_rows(self, metric, features, data):
+        n = len(features)
+        rows = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="rows")
+        rows = np.array(rows, dtype=int)  # unique, in any order
+        square, square_answered = online._distance_matrix(features, metric)
+        distances, answered = online._distance_matrix(features, metric, rows)
+        assert distances.shape == (len(rows), n)
+        assert distances.tobytes() == square[rows].tobytes()
+        assert np.array_equal(answered, square_answered)
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("n", [15, 16, 17])
+    @pytest.mark.parametrize(
+        "cfg",
+        [PreprocessConfig(), PreprocessConfig(ds_window=10, ds_stride=7)],
+        ids=["default", "stride7"],
+    )
+    def test_stacks_equal_per_trial_features(self, n, cfg):
+        trials = gen_dataset(9, 9, rng_seed=8)[:n]
+        expected = np.stack([preprocess(trial.trace, cfg).values for trial in trials])
+        assert online._feature_matrix(trials, cfg).tobytes() == expected.tobytes()
+
+    def test_two_trace_lengths(self):
+        # 1000 and 1009 samples both give 100 features; the runs of one length
+        # straddle the stack size.
+        trials = gen_dataset(15, 15, rng_seed=9)
+        longer = gen_dataset(10, 10, GenParams(n_samples=1009), rng_seed=10)
+        mixed = trials[:5] + longer + trials[5:]
+        expected = np.stack([preprocess(trial.trace).values for trial in mixed])
+        assert online._feature_matrix(mixed, PreprocessConfig()).tobytes() == expected.tobytes()
+
+    def test_first_overflowing_trial_of_a_stack_is_named(self):
+        trials = gen_dataset(10, 10, rng_seed=8)
+        huge = ForceTrace(np.full(len(trials[0].trace), 1.7e308), trials[0].trace.sample_rate)
+        for i in (9, 12):  # both in the first stack of 16
+            trials[i] = LabeledTrial(f"huge{i}", huge, Label.POSITIVE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape
+            with pytest.raises(online.TrialDataError) as error:
+                online._feature_matrix(trials, PreprocessConfig())
+        assert str(error.value) == "trial huge9: trace overflows the float range when preprocessed"
+
+    def test_too_short_trace_is_a_plain_value_error(self):
+        trials = gen_dataset(10, 10, rng_seed=8)
+        with pytest.raises(ValueError) as error:
+            online._feature_matrix(trials, PreprocessConfig(sg_window=1001))
+        assert type(error.value) is ValueError
+        assert str(error.value) == "trace of length 1000 is shorter than window 1001"
 
 
 # Distances drawn mostly from values that tie or do not order: -0.0 equals 0.0,
