@@ -163,6 +163,26 @@ def _batch_distances(
     return diff.sum(axis=1) ** (1.0 / metric.p)
 
 
+def _distance_matrix(
+    features: np.ndarray, metric: Metric, n_rows: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distances from the first ``n_rows`` rows of ``features`` (default all) to every row.
+
+    Row r is ``_batch_distances`` with row r as the query over rows r onwards, mirrored
+    into column r of the later filled rows: that routine is symmetric to the bit.
+    ``answered`` flags the filled rows that answer; a zero-norm cosine query's row is 1.0.
+    """
+    n_rows = len(features) if n_rows is None else n_rows
+    norms = _reference_norms(features)
+    distances, answered = np.empty((n_rows, len(features))), np.ones(n_rows, dtype=bool)
+    for r in range(n_rows):
+        row = _batch_distances(features[r:], norms[r:], features[r], metric)
+        answered[r] = row is not None
+        distances[r, r:] = 1.0 if row is None else row
+        distances[r:, r] = 1.0 if row is None else row[: n_rows - r]
+    return distances, answered
+
+
 def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> float:
     """Distance between two feature vectors under the given metric.
 

@@ -38,15 +38,20 @@ def _write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
     temporary file in the same directory, which is renamed over ``path``
     only once it is complete, so a failed write (a failing generator
     included) leaves any earlier file untouched and removes the temporary
-    file. A symlink at
-    ``path`` stays in place and its target is replaced.
+    file. A symlink at ``path`` stays in place and its target is replaced.
+    When the temporary file cannot be made, the error names ``path``.
     """
-    path = path.resolve()
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    target = path.resolve()
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+        handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        exc.filename = str(path)  # the user's path, not the hidden temporary file's
+        raise
+    try:
+        with handle:
             handle.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -3,9 +3,9 @@
 Static mode works on fixed splits: hold out a test share at the 604:100
 ratio, subsample the remaining pool down to each training fraction,
 classify the test split and average per-cell statistics over shuffle seeds.
-It ranks through the online replay's distance rows, filled only for the
-trials some seed tests: one matrix per metric, shared by every seed and
-released before the next metric's is built. The rows are sorted once per
+It ranks through the replay's distance rows, filled only for the trials
+some seed tests, taken first: one matrix per metric, shared by every seed
+and released before the next metric's is built. The rows are sorted once per
 (metric, seed) over the whole pool, by numpy's unstable SIMD sort with an
 audit that sorts again stably every row holding a tie; each training
 fraction filters that order down to its prefix, and one vote decides all
@@ -31,12 +31,13 @@ from .classifier import (
     MANHATTAN,
     Label,
     Metric,
+    _distance_matrix,
     _vote,
     min_agreeing_count,
     minkowski,
 )
 from .metrics import _fold_mean, summarize_runs
-from .online import LabeledTrial, LoopConfig, _distance_matrix, _feature_matrix, run_replicated
+from .online import LabeledTrial, LoopConfig, _feature_matrix, run_replicated
 # preprocess is not called here (the feature stack is online._feature_matrix) but
 # stays importable as grid.preprocess: the benchmark's tracer patches it there.
 from .signal import PreprocessConfig, preprocess
@@ -113,12 +114,13 @@ def _stable_argsort(dists: np.ndarray) -> np.ndarray:
 
 
 def _split_counts(
-    distances: np.ndarray, rows: np.ndarray, answered: np.ndarray, is_pos: np.ndarray,
+    distances: np.ndarray, answered: np.ndarray, is_pos: np.ndarray,
     order: np.ndarray, pool_size: int, grid: GridSpec, thresholds: np.ndarray,
 ) -> np.ndarray:
     """tp, fp, tn, fn and uncertain of each of ``static_grid``'s cells on the split ``order``.
 
-    Test trial t's distance row is ``distances[searchsorted(rows, t)]``. The split's
+    ``order`` and ``is_pos`` number the trials as the columns of ``distances``;
+    a test trial's row and ``answered`` flag share its column's index. The split's
     arrays live for this call only, so none is alive while the next are built.
     """
     pool_idx, test_idx = order[:pool_size], order[pool_size:]
@@ -126,7 +128,7 @@ def _split_counts(
     # The test trials' rows (each test trial, as the query, to every pool trial)
     # in stable order: equal distances keep pool order, so the columns below m
     # of the full order are the stable order of the first m. int32 (n < 2**14) extracts faster.
-    full = _stable_argsort(distances[np.ix_(np.searchsorted(rows, test_idx), pool_idx)])
+    full = _stable_argsort(distances[np.ix_(test_idx, pool_idx)])
     full = full.astype(np.int32)
     # Positive and negative votes per (fraction, k, l-value, test trial), every k's count
     # read off one running count; infeasible cells (train_size < k) stay undecided.
@@ -157,8 +159,8 @@ def static_grid(
     Per seed the trials are permuted once; the test split is the trailing
     100/704 share (at least one trial) and each training fraction takes a
     prefix of the remaining pool, so larger fractions extend smaller ones.
-    Per metric one matrix holds the distance rows of the trials some seed tests
-    (388 of 704 on the default seeds), freed before the next metric's is built;
+    With the trials some seed tests taken first (388 of 704 on the default seeds),
+    one matrix per metric holds their distance rows, freed before the next's is built;
     the bound check still counts 8 * n**2 bytes (past 1 GiB, ValueError before
     any trial is preprocessed). Each seed's test rows get one stable sort over
     the pool: an unstable sort, with rows whose sorted values do not strictly
@@ -174,13 +176,15 @@ def static_grid(
         raise ValueError(f"seeds must be non-negative, got {', '.join(map(str, seeds))}")
     if len(trials) < 2:
         raise ValueError("dataset too small to split")
-    features = _feature_matrix(trials, preprocess_cfg)
-    is_pos = np.array([t.truth is Label.POSITIVE for t in trials])
     n = len(trials)
     test_size = max(1, round(n * _TEST_SHARE))
     pool_size = n - test_size
     orders = [np.random.default_rng(seed).permutation(n) for seed in seeds]
     tested = np.unique(np.concatenate([order[pool_size:] for order in orders]))
+    first = np.concatenate((tested, np.delete(np.arange(n), tested)))
+    column = np.argsort(first)  # trial t's column, and a tested trial's row, in each matrix
+    features = _feature_matrix(trials, preprocess_cfg)[first]
+    is_pos = np.array([trials[t].truth is Label.POSITIVE for t in first])
 
     # N_c per (k, l-value): one vote decides every (k, l-value) of a fraction.
     thresholds = np.array(
@@ -190,10 +194,10 @@ def static_grid(
     feasible = [round(fraction * pool_size) >= k for fraction, k, _ in cells]
     rows = []
     for metric in grid.metrics:
-        distances, answered = _distance_matrix(features, metric, tested)
+        distances, answered = _distance_matrix(features, metric, len(tested))
         # tp, fp, tn, fn and uncertain per (seed, cell).
         counts = np.stack([
-            _split_counts(distances, tested, answered, is_pos, order, pool_size, grid, thresholds)
+            _split_counts(distances, answered, is_pos, column[order], pool_size, grid, thresholds)
             for order in orders
         ])
         del distances  # one matrix alive at a time: free it before the next metric's

@@ -19,10 +19,10 @@ from enum import Enum
 
 import numpy as np
 
-# KnnModel and classify are not used here but stay importable: callers reach
-# the single-query API through this module.
+# KnnModel and classify are unused here: bench/child.py calls them, and preprocess,
+# through this module, and bench/spans.py patches all three here.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
-from .classifier import _batch_distances, _count_nearest, _reference_norms, _vote
+from .classifier import _count_nearest, _distance_matrix, _vote
 from .signal import ForceTrace, PreprocessConfig, _features, preprocess
 
 __all__ = [
@@ -218,31 +218,6 @@ class RunReport:
 # The most a distance matrix may take: 1 GiB, 8 * n**2 bytes for n trials, so n <= 11585.
 _MATRIX_BYTES = 2**30
 _STACK = 16  # traces per preprocessing pass: larger stacks save little and hold more memory
-
-
-def _distance_matrix(
-    features: np.ndarray, metric: Metric, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(len(rows), n)`` distances from unique ``rows`` (default all), and which rows answer.
-
-    With the features taken ``rows`` first, row r is computed by ``classify``'s
-    per-query routine, the r-th as the query over the r-th onwards, and mirrored
-    into the columns of the later ``rows``. That routine is symmetric to the bit,
-    so the rows equal the square matrix's. Under cosine a zero-norm row sits at
-    distance 1 from every query and, as a query, abstains.
-    """
-    n = len(features)
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    order = np.concatenate((rows, np.delete(np.arange(n), rows)))
-    ordered, norms = features[order], _reference_norms(features)[order]
-    distances = np.empty((len(rows), n))
-    for r in range(len(rows)):
-        row = _batch_distances(ordered[r:], norms[r:], ordered[r], metric)
-        distances[r, order[r:]] = 1.0 if row is None else row
-        distances[r:, order[r]] = 1.0 if row is None else row[: len(rows) - r]
-    # The zero-norm rule of _batch_distances, for every query at once.
-    answered = (metric.kind != "cosine") | (np.linalg.norm(features, axis=1) != 0.0)
-    return distances, answered
 
 
 class TrialDataError(ValueError):

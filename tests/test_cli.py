@@ -455,6 +455,40 @@ class TestConfigFileAndExitCodes:
         code = main(["online", "--dataset", str(tmp_path / "nope.csv"), "--out", "o"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["online", "--dataset", "{file}/x", "--out", "{tmp}/o"],
+            ["online", "--dataset", "{file}", "--out", "{file}/sub"],
+            ["online", "--dataset", "{file}", "--out", "{tmp}/o", "--config", "{file}/x"],
+            ["gen", "--out", "{file}/x.csv", "--n-pos", "1", "--n-neg", "1"],
+        ],
+        ids=["dataset", "out", "config", "gen-out"],
+    )
+    def test_path_below_a_file_is_data_error(self, tmp_path, dataset, capsys, argv):
+        code = main([arg.format(file=dataset, tmp=tmp_path) for arg in argv])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [dataset]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n-pos", "1", "--n-neg", "1"],
+            ["grid", "--dataset", "{file}", "--k", "5", "--metric", "cosine", "--l-value", "50",
+             "--train-fraction", "1"],
+        ],
+        ids=["gen", "grid"],
+    )
+    def test_write_into_a_missing_directory_names_the_path(self, tmp_path, dataset, capsys, argv):
+        out = tmp_path / "nodir" / "x.csv"
+        code = main([arg.format(file=dataset) for arg in argv] + ["--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert sorted(tmp_path.iterdir()) == [dataset]
+
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,label,2,500.0\nx,pos,1.0\n", encoding="utf-8")

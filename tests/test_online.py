@@ -23,6 +23,7 @@ from forceknn.classifier import (
     Label,
     _batch_distances,
     _count_nearest,
+    _distance_matrix,
     _reference_norms,
     classify,
     minkowski,
@@ -527,21 +528,38 @@ class TestDistanceStore:
             row = _batch_distances(features, norms, features[j], metric)
             if row is not None:
                 expected[j], expected_answered[j] = row, True
-        distances, answered = online._distance_matrix(features, metric)
+        distances, answered = _distance_matrix(features, metric)
         assert distances.tobytes() == expected.tobytes()
         assert np.array_equal(answered, expected_answered)
 
     @settings(deadline=None, max_examples=150)
     @given(metric=METRICS, features=feature_rows(), data=st.data())
     def test_restricted_rows_equal_the_square_matrix_rows(self, metric, features, data):
+        # The static grid's use: the tested rows taken first, then the rest.
         n = len(features)
         rows = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="rows")
         rows = np.array(rows, dtype=int)  # unique, in any order
-        square, square_answered = online._distance_matrix(features, metric)
-        distances, answered = online._distance_matrix(features, metric, rows)
+        first = np.concatenate((rows, np.delete(np.arange(n), rows)))
+        square, square_answered = _distance_matrix(features, metric)
+        distances, answered = _distance_matrix(features[first], metric, len(rows))
         assert distances.shape == (len(rows), n)
-        assert distances.tobytes() == square[rows].tobytes()
-        assert np.array_equal(answered, square_answered)
+        assert distances.tobytes() == square[np.ix_(rows, first)].tobytes()
+        assert np.array_equal(answered, square_answered[rows])
+
+    def test_zero_norm_row_inside_the_filled_prefix_abstains(self):
+        features = np.random.default_rng(0).normal(size=(6, 4))
+        features[1] = 0.0
+        distances, answered = _distance_matrix(features, COSINE, 3)
+        assert answered.tolist() == [True, False, True]
+        assert np.all(distances[1] == 1.0)
+        assert np.all(distances[:, 1] == 1.0)
+
+    def test_zero_norm_row_outside_the_filled_prefix_sits_at_one(self):
+        features = np.random.default_rng(0).normal(size=(6, 4))
+        features[4] = 0.0
+        distances, answered = _distance_matrix(features, COSINE, 3)
+        assert distances.shape == (3, 6) and answered.all()
+        assert np.all(distances[:, 4] == 1.0)
 
 
 class TestFeatureMatrix:
