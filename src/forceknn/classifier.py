@@ -129,38 +129,63 @@ def min_agreeing_count(k: int, l_value: float) -> int:
     return math.ceil(Fraction(l_value) * k / 100)
 
 
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, summed as ``np.linalg.norm`` sums them."""
+    return np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+
+
 def _reference_norms(matrix: np.ndarray) -> np.ndarray:
     """Row norms for cosine; a zero row gets norm 1, so it sits at similarity 0."""
-    norms = np.linalg.norm(matrix, axis=1)
+    norms = _norms(matrix)
     norms[norms == 0.0] = 1.0
     return norms
 
 
+def _cosine_distances(dots: np.ndarray, norms: np.ndarray, query_norms) -> np.ndarray:
+    """``1 - clip(dots / (norms * query_norms), -1, 1)``, computed in ``dots``."""
+    dots /= norms * query_norms
+    np.clip(dots, -1.0, 1.0, out=dots)
+    return np.subtract(1.0, dots, out=dots)
+
+
 def _batch_distances(
-    matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, metric: Metric
+    matrix: np.ndarray, norms: np.ndarray | None, query: np.ndarray, metric: Metric
 ) -> np.ndarray | None:
-    """Distances from every row of ``matrix`` to ``query``; None for a zero cosine query."""
+    """Distances from every row of ``matrix`` to ``query``; None for a zero cosine query.
+
+    ``norms`` holds the rows' ``_reference_norms``, read only under cosine. Raises
+    ValueError when an elementwise metric's distance overflows the float range.
+    """
     if metric.kind == "cosine":
         # Summed like the reference norms, so that distances are symmetric
         # to the bit: the online replay reads a reference's row as every
         # query's distance to it.
-        query_norm = float(np.linalg.norm(query[np.newaxis], axis=1)[0])
+        query_norm = _norms(query)
         if query_norm == 0.0:
             return None
         # One dot product per row, not a matrix-vector product: BLAS rounds a
         # row of ``matrix @ query`` differently by its position in ``matrix``,
         # which would split exact-duplicate references and make a row's
         # distance depend on which snapshot holds it.
-        sims = np.vecdot(matrix, query) / (norms * query_norm)
-        return 1.0 - np.clip(sims, -1.0, 1.0)
-    diff = matrix - query  # a fresh array: the kernels below work in it
-    if metric.kind == "euclidean":
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    np.abs(diff, out=diff)
-    if metric.kind == "manhattan":
-        return diff.sum(axis=1)
-    diff **= metric.p  # the same power as ``diff ** metric.p``, square and sqrt shortcuts included
-    return diff.sum(axis=1) ** (1.0 / metric.p)
+        return _cosine_distances(np.vecdot(matrix, query), norms, query_norm)
+    with np.errstate(over="ignore"):
+        diff = matrix - query  # a fresh array: the kernels below work in it
+        if metric.kind == "euclidean":
+            distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        else:
+            np.abs(diff, out=diff)
+            if metric.kind == "manhattan":
+                distances = diff.sum(axis=1)
+            else:
+                diff **= metric.p  # as ``diff ** metric.p``, square and sqrt shortcuts included
+                distances = diff.sum(axis=1) ** (1.0 / metric.p)
+    if not np.isfinite(distances).all():  # finite features: only an overflow gives inf
+        raise ValueError(f"{metric} distance overflows the float range")
+    return distances
+
+
+# Cosine query rows per fill step: larger blocks were no faster and hold more memory.
+_COSINE_BLOCK = 16
 
 
 def _distance_matrix(
@@ -168,18 +193,32 @@ def _distance_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distances from the first ``n_rows`` rows of ``features`` (default all) to every row.
 
-    Row r is ``_batch_distances`` with row r as the query over rows r onwards, mirrored
-    into column r of the later filled rows: that routine is symmetric to the bit.
-    ``answered`` flags the filled rows that answer; a zero-norm cosine query's row is 1.0.
+    Row r holds ``_batch_distances`` with row r as the query over rows r onwards,
+    mirrored into column r of the later filled rows: that routine is symmetric to the
+    bit. Cosine fills ``_COSINE_BLOCK`` rows per step, over the columns from the
+    block's first row on, by one ``np.vecdot`` over the broadcast (row, column) pairs;
+    each pair gets the dot product, norm product and elementwise steps of
+    ``_batch_distances``, so the rows are the same bits. Euclidean, manhattan and
+    minkowski fill one row per call: blocks were no faster for them, and their
+    (rows, n, d) temporaries would raise peak memory. ``answered`` flags the filled
+    rows that answer. A zero-norm cosine query's row is 1.0 with no special case: its
+    norm counts as 1, as a reference's does, and its similarities round to 0. An
+    elementwise distance that overflows raises ValueError.
     """
     n_rows = len(features) if n_rows is None else n_rows
-    norms = _reference_norms(features)
     distances, answered = np.empty((n_rows, len(features))), np.ones(n_rows, dtype=bool)
-    for r in range(n_rows):
-        row = _batch_distances(features[r:], norms[r:], features[r], metric)
-        answered[r] = row is not None
-        distances[r, r:] = 1.0 if row is None else row
-        distances[r:, r] = 1.0 if row is None else row[: n_rows - r]
+    step = _COSINE_BLOCK if metric.kind == "cosine" else 1
+    if metric.kind == "cosine":
+        norms, answered = _reference_norms(features), _norms(features[:n_rows]) != 0.0
+    for r in range(0, n_rows, step):
+        stop = min(r + step, n_rows)
+        if metric.kind == "cosine":
+            dots = np.vecdot(features[r:], features[r:stop, np.newaxis])
+            block = _cosine_distances(dots, norms[r:], norms[r:stop, np.newaxis])
+        else:
+            block = _batch_distances(features[r:], None, features[r], metric)[np.newaxis]
+        distances[r:stop, r:] = block
+        distances[stop:, r:stop] = block[:, stop - r : n_rows - r].T
     return distances, answered
 
 
@@ -188,15 +227,16 @@ def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> flo
 
     Cosine distance is 1 - cos(a, b) with the similarity clipped to [-1, 1],
     so it is exactly 0 for positive scalar multiples and never negative. It
-    raises ValueError when either vector has zero norm.
+    raises ValueError when either vector has zero norm, and under the other
+    metrics when the distance overflows the float range.
     """
     va, vb = a.values, b.values
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.size} vs {vb.size}")
-    if metric.kind == "cosine" and not (np.linalg.norm(va) and np.linalg.norm(vb)):
+    if metric.kind == "cosine" and not (_norms(va) and _norms(vb)):
         raise ValueError("cosine distance is undefined for a zero-norm vector")
-    matrix = va[np.newaxis, :]
-    return float(_batch_distances(matrix, np.linalg.norm(matrix, axis=1), vb, metric)[0])
+    norms = _norms(va[np.newaxis]) if metric.kind == "cosine" else None
+    return float(_batch_distances(va[np.newaxis], norms, vb, metric)[0])
 
 
 def _vote(n_pos, k: int, threshold):
@@ -270,7 +310,7 @@ class KnnModel:
         self._entries = entries
         self._dim = dims.pop() if dims else None
         self._matrix = np.stack([f.values for f, _ in entries]) if entries else np.empty((0, 0))
-        self._norms = _reference_norms(self._matrix)
+        self._norms = _reference_norms(self._matrix) if metric.kind == "cosine" else None
         self._is_pos = np.array([label is Label.POSITIVE for _, label in entries], dtype=bool)
 
     def __len__(self) -> int:

@@ -104,6 +104,11 @@ _GRID_OPTIONS = {
                               "comma-separated fractions in (0, 1] (static mode)"),
     "static_seeds": _Option(int, 5, "number of split seeds to average (static mode)"),
 }
+# The grid options that each mode does not read: setting one is a usage error.
+_GRID_UNREAD = {
+    "static": ("runs", "retrain_interval", "seed_size"),
+    "online": ("train_fraction", "static_seeds"),
+}
 
 
 def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -> None:
@@ -116,7 +121,7 @@ def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -
         )
 
 
-def _load_config(path: str, options: dict[str, _Option]) -> dict:
+def _load_config(path: str, options: dict[str, _Option], unread: dict[str, str]) -> dict:
     values = {}
     text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -132,6 +137,8 @@ def _load_config(path: str, options: dict[str, _Option]) -> dict:
         key = key.replace("-", "_")
         if key not in options:
             raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in unread:
+            raise _UsageError(f"{path}:{line_no}: config key {key!r} {unread[key]}")
         try:
             values[key] = options[key].convert(value)
         except ValueError:
@@ -139,17 +146,25 @@ def _load_config(path: str, options: dict[str, _Option]) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, options: dict[str, _Option]) -> dict:
+def _resolve(
+    args: argparse.Namespace, options: dict[str, _Option], unread: dict[str, str] | None = None
+) -> dict:
     """Merge flag values, config-file values and defaults for one subcommand.
 
     The result holds every option in table order. Every subcommand takes
     ``--rng-seed``; a negative one is rejected here, before any file is read
-    or written.
+    or written. So is a flag or config key in ``unread``, which maps each
+    option that this run ignores to the reason given.
     """
+    unread = unread or {}
     resolved = {key: option.default for key, option in options.items()}
     if args.config:
-        resolved.update(_load_config(args.config, options))
-    resolved.update((key, getattr(args, key)) for key in options if getattr(args, key) is not None)
+        resolved.update(_load_config(args.config, options, unread))
+    given = [key for key in options if getattr(args, key) is not None]
+    for key in given:
+        if key in unread:
+            raise _UsageError(f"--{key.replace('_', '-')} {unread[key]}")
+    resolved.update((key, getattr(args, key)) for key in given)
     if resolved["rng_seed"] < 0:
         raise _UsageError(f"--rng-seed must be non-negative, got {resolved['rng_seed']}")
     return resolved
@@ -283,7 +298,8 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _GRID_OPTIONS)
+    why = f"is not read by grid --mode {args.mode}"
+    opts = _resolve(args, _GRID_OPTIONS, dict.fromkeys(_GRID_UNREAD[args.mode], why))
     try:
         grid = GridSpec(
             k_values=tuple(opts["k"]),

@@ -180,8 +180,9 @@ def static_grid(
     test_size = max(1, round(n * _TEST_SHARE))
     pool_size = n - test_size
     orders = [np.random.default_rng(seed).permutation(n) for seed in seeds]
-    tested = np.unique(np.concatenate([order[pool_size:] for order in orders]))
-    first = np.concatenate((tested, np.delete(np.arange(n), tested)))
+    tested = np.zeros(n, dtype=bool)
+    tested[np.concatenate([order[pool_size:] for order in orders])] = True
+    first = np.concatenate((np.flatnonzero(tested), np.flatnonzero(~tested)))
     column = np.argsort(first)  # trial t's column, and a tested trial's row, in each matrix
     features = _feature_matrix(trials, preprocess_cfg)[first]
     is_pos = np.array([trials[t].truth is Label.POSITIVE for t in first])
@@ -194,7 +195,7 @@ def static_grid(
     feasible = [round(fraction * pool_size) >= k for fraction, k, _ in cells]
     rows = []
     for metric in grid.metrics:
-        distances, answered = _distance_matrix(features, metric, len(tested))
+        distances, answered = _distance_matrix(features, metric, np.count_nonzero(tested))
         # tp, fp, tn, fn and uncertain per (seed, cell).
         counts = np.stack([
             _split_counts(distances, answered, is_pos, column[order], pool_size, grid, thresholds)

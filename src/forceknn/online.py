@@ -16,6 +16,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -255,7 +256,7 @@ def _rows(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
     """Each trial's row, each row's positive flag, the distance matrix and its answering rows."""
     key = (cfg.metric, cfg.preprocess)  # an entry that lacks one of the trials is rebuilt
     row_of, truth, distances, answered = cache.pop(key, ({}, None, None, None))
-    rows = np.array([row_of.get(trial, -1) for trial in trials])
+    rows = np.array(list(map(row_of.get, trials, itertools.repeat(-1))))
     if -1 in rows:
         del distances  # free a stale entry's matrix before the new one is built
         row_of = {trial: i for i, trial in enumerate(trials)}  # two datasets may share ids
@@ -285,7 +286,10 @@ def run_online(
     vote's verdict per positive count. A step commits up to the end of its
     first block with a fallback, or its whole window if none has one; the
     window doubles after a step without a fallback and falls back to one
-    block after a step with one.
+    block after a step with one. Each trial's flat offset into the matrix
+    and its zero-norm flag are looked up once per run; a step stores its
+    counts and fallback flags by slice, and the phases and predictions are
+    read off them once, after the last step.
 
     ``feature_cache`` memoises the distance matrix, 8 * n**2 bytes for n
     trials (4 MB at n = 704), and each trial's row in it under
@@ -306,7 +310,7 @@ def run_online(
     positive = truth[rows]
     if positive.all() or not positive.any():
         raise ValueError("trial stream must contain both classes")
-    ids = tuple(trial.id for trial in trials)
+    ids = tuple(map(attrgetter("id"), trials))
     if len(set(ids)) != len(ids):
         raise ValueError("trial ids must be unique")  # the records name trials by id
 
@@ -320,33 +324,36 @@ def run_online(
     # The dataset is the first size entries, rows and positive flags in insertion order:
     # the oracle labels each seed and fallback trial, and only those trials join.
     dataset, dataset_pos = rows.copy(), positive.copy()
-    phase = np.full(len(trials), _CLASSIFIED, dtype=np.int8)
-    phase[:start] = _SEED
-    predicted = positive.copy()
+    offsets = rows * len(distances)  # each stream trial's row in the flat matrix
+    unanswered = ~answered[rows]
+    verified = np.ones(len(trials), dtype=bool)  # seed and fallback trials
+    n_pos = np.zeros(len(trials), dtype=np.intp)  # positive neighbours of classified trials
 
     # The vote's verdict for each count of positive neighbours, 0 to k.
     pos_of, neg_of = _vote(np.arange(cfg.k + 1), cfg.k, min_agreeing_count(cfg.k, cfg.l_value))
-    decided = pos_of | neg_of
+    undecided = ~(pos_of | neg_of)
     # Each block sees the snapshot taken at its start. The seed phase holds at
     # least seed_size >= k entries, so every snapshot has k neighbours to rank.
+    seed_end = start
     interval = window = cfg.retrain_interval
     while start < len(trials):
-        queries = rows[start : start + window]
         # One gather by flat index: no (window, n) copy of whole rows on the way.
-        dists = distances.take(queries[:, np.newaxis] * len(distances) + dataset[:size])
-        n_pos = _count_nearest(dists, dataset_pos[:size], cfg.k)
-        fallback = ~(decided[n_pos] & answered[queries])
+        dists = distances.take(offsets[start : start + window, np.newaxis] + dataset[:size])
+        counts = _count_nearest(dists, dataset_pos[:size], cfg.k)
+        fallback = undecided[counts] | unanswered[start : start + window]
         if fallback.any():  # the snapshot changes after this fallback's block
             end = (int(fallback.argmax()) // interval + 1) * interval
-            fallback, n_pos, window = fallback[:end], n_pos[:end], interval
+            fallback, counts, window = fallback[:end], counts[:end], interval
         else:
             window *= 2
         block = slice(start, start + len(fallback))
-        predicted[block] = np.where(fallback, positive[block], pos_of[n_pos])
-        phase[block][fallback] = _FALLBACK
+        n_pos[block], verified[block] = counts, fallback
         joined = slice(size, size + int(np.count_nonzero(fallback)))
         dataset[joined], dataset_pos[joined] = rows[block][fallback], positive[block][fallback]
         size, start = joined.stop, block.stop
+    phase = np.where(verified, _FALLBACK, _CLASSIFIED)
+    phase[:seed_end] = _SEED
+    predicted = np.where(verified, positive, pos_of[n_pos])
 
     return RunReport(
         records=RecordColumns(ids, phase, predicted, positive),
@@ -392,6 +399,6 @@ def run_replicated(
     for run_index in range(n_runs):
         run_seed = _run_seed(base_seed, run_index)
         order = np.random.default_rng(run_seed).permutation(len(trials))
-        shuffled = [trials[j] for j in order]
+        shuffled = list(map(trials.__getitem__, order.tolist()))
         reports.append(run_online(shuffled, cfg, rng_seed=run_seed, feature_cache=cache))
     return reports

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +115,23 @@ class TestDistance:
             distance(zero, v, COSINE)
         with pytest.raises(ValueError, match="zero-norm"):
             distance(v, zero, COSINE)
+
+    @pytest.mark.parametrize(
+        "metric, scale",
+        # 3 ** 1000 from the root; a square; the difference itself; a power of 3.
+        [(minkowski(0.001), 1.0), (EUCLIDEAN, 1e200), (MANHATTAN, 1e308), (minkowski(3.0), 1e200)],
+        ids=lambda value: str(value),
+    )
+    def test_overflow_is_one_error_without_warnings(self, metric, scale):
+        a, b = _fv(scale, -scale, 2.0), _fv(-scale, scale, 0.5)
+        model = KnnModel([(a, Label.POSITIVE)], k=1, metric=metric)
+        message = re.escape(f"{metric} distance overflows the float range")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise here
+            with pytest.raises(ValueError, match=message):
+                distance(a, b, metric)
+            with pytest.raises(ValueError, match=message):
+                classify(model, b)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -177,6 +177,17 @@ class TestOnline:
         assert "too short for seed_size 36" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_distance_exits_infeasible(self, tmp_path, dataset, capsys):
+        # Every feature sum raised to the power 1000 overflows.
+        out = tmp_path / "out"
+        argv = ["online", "--dataset", str(dataset), "--out", str(out), *ONLINE_FLAGS]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape main()
+            assert main([*argv, "--metric", "minkowski:0.001"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "infeasible config: minkowski:0.001 distance overflows the float range\n"
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, dataset):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["online", "--dataset", str(dataset), *ONLINE_FLAGS]
@@ -358,6 +369,27 @@ class TestGrid:
                      "--mode", "static", *flags])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("mode", "key"),
+        [("static", "runs"), ("static", "retrain_interval"), ("static", "seed_size"),
+         ("online", "train_fraction"), ("online", "static_seeds")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_option_the_mode_does_not_read_is_usage_error_before_reading(
+        self, tmp_path, capsys, mode, key, source
+    ):
+        out, config = tmp_path / "grid.csv", tmp_path / "run.cfg"
+        flag, value = "--" + key.replace("_", "-"), "0.5" if key == "train_fraction" else "3"
+        config.write_text(f"k = 5\n{key} = {value}\n", encoding="utf-8")
+        given = [flag, value] if source == "flag" else ["--config", str(config)]
+        # the dataset does not exist: reading it first would exit with EXIT_DATA
+        code = main(["grid", "--dataset", str(tmp_path / "missing.csv"), "--out", str(out),
+                     "--mode", mode, *given])
+        assert code == EXIT_USAGE
+        where = flag if source == "flag" else f"{config}:2: config key {key!r}"
+        assert capsys.readouterr().err == f"error: {where} is not read by grid --mode {mode}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["--k", "--metric", "--l-value", "--train-fraction"])

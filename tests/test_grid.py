@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +278,21 @@ class TestStaticGrid:
         matrix = 8 * len(trials) ** 2
         features = 8 * len(trials) * len(preprocess(trials[0].trace, coarse))
         assert peak < matrix + features
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, a few ms of every grid run.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys; from forceknn.datagen import gen_dataset; "
+            "from forceknn.grid import static_grid; static_grid(gen_dataset(20, 20, rng_seed=1)); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, encoding="utf-8", timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_tie_group_split_by_a_fraction_boundary(self):
         # Exact copies with the opposite label tie with their source on every

@@ -501,12 +501,17 @@ def replay_cases(draw):
 
 @st.composite
 def feature_rows(draw):
-    """Rows of very different scales, some of them all zero and some exact duplicates."""
-    n = draw(st.integers(2, 24), label="n")
+    """Rows of very different scales, some of them all zero and some exact duplicates.
+
+    Up to 70 rows: a cosine fill takes 16 query rows at a time, so these span up to
+    five blocks, and zero-norm rows are drawn on the blocks' edges too.
+    """
+    n = draw(st.integers(2, 70), label="n")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="rng seed"))
     features = rng.normal(size=(n, 9)) * rng.uniform(1e-3, 1e3, size=(n, 1))
     index = st.integers(0, n - 1)
-    for i in draw(st.lists(index, max_size=3), label="zero-norm rows"):
+    edges = st.sampled_from([i for i in (0, 15, 16, 31, 32, 47, 48, 63, 64, n - 1) if i < n])
+    for i in draw(st.lists(index | edges, max_size=4), label="zero-norm rows"):
         features[i] = 0.0
     for i, j in draw(st.lists(st.tuples(index, index), max_size=4), label="duplicates"):
         features[i] = features[j]
@@ -516,18 +521,23 @@ def feature_rows(draw):
 METRICS = st.sampled_from([COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0), minkowski(1.5)])
 
 
+def per_query_rows(features, metric, n_rows):
+    """Rows 0 to n_rows - 1 as queries over every row, one ``_batch_distances`` call each."""
+    norms = _reference_norms(features)
+    expected = np.ones((n_rows, len(features)))  # a zero-norm cosine query's row is all 1.0
+    answered = np.zeros(n_rows, dtype=bool)
+    for j in range(n_rows):
+        row = _batch_distances(features, norms, features[j], metric)
+        if row is not None:
+            expected[j], answered[j] = row, True
+    return expected, answered
+
+
 class TestDistanceStore:
     @settings(deadline=None, max_examples=150)
     @given(metric=METRICS, features=feature_rows())
     def test_rows_equal_batch_distances_over_the_full_matrix(self, metric, features):
-        n = len(features)
-        norms = _reference_norms(features)
-        expected = np.ones((n, n))  # a zero-norm cosine query's row is all 1.0
-        expected_answered = np.zeros(n, dtype=bool)
-        for j in range(n):
-            row = _batch_distances(features, norms, features[j], metric)
-            if row is not None:
-                expected[j], expected_answered[j] = row, True
+        expected, expected_answered = per_query_rows(features, metric, len(features))
         distances, answered = _distance_matrix(features, metric)
         assert distances.tobytes() == expected.tobytes()
         assert np.array_equal(answered, expected_answered)
@@ -545,6 +555,19 @@ class TestDistanceStore:
         assert distances.shape == (len(rows), n)
         assert distances.tobytes() == square[np.ix_(rows, first)].tobytes()
         assert np.array_equal(answered, square_answered[rows])
+        expected, expected_answered = per_query_rows(features[first], metric, len(rows))
+        assert distances.tobytes() == expected.tobytes()
+        assert np.array_equal(answered, expected_answered)
+
+    @pytest.mark.parametrize("n_rows", [1, 15, 16, 17, 37, 53])
+    def test_cosine_blocks_with_zero_norm_rows_on_their_edges(self, n_rows):
+        features = np.random.default_rng(1).normal(size=(53, 7))
+        features[[0, 15, 16, 32, 47, 52]] = 0.0
+        features[31] *= 1e-170  # not zero, but its squares underflow: zero norm
+        expected, expected_answered = per_query_rows(features, COSINE, n_rows)
+        distances, answered = _distance_matrix(features, COSINE, n_rows)
+        assert distances.tobytes() == expected.tobytes()
+        assert np.array_equal(answered, expected_answered)
 
     def test_zero_norm_row_inside_the_filled_prefix_abstains(self):
         features = np.random.default_rng(0).normal(size=(6, 4))
