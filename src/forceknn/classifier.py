@@ -7,10 +7,10 @@ caller is expected to fall back to an authoritative check. The vote is one
 function, shared by ``classify``, ``decide``, the online replay and the
 static grid sweep.
 
-Cosine distance is undefined for a zero-norm vector. A zero-norm query
-(a dropped-out trace) abstains, and a zero-norm reference sits at cosine
-distance 1.0 (similarity 0) from every query; ``distance`` itself still
-rejects a zero-norm argument.
+Cosine distance is undefined for a zero-norm vector. A zero-norm query (a dropped-out
+trace) abstains, and a zero-norm reference sits at cosine distance 1.0 (similarity 0)
+from every query; ``distance`` itself still rejects a zero-norm argument. Finite features
+that overflow the float range raise one ``ValueError`` under every metric (``_OVERFLOW``).
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def _batch_distances(
 ) -> np.ndarray | None:
     """Distances from every row of ``matrix`` to ``query``; None for a zero cosine query.
 
-    ``norms`` holds the rows' ``_reference_norms``, read only under cosine. Raises
-    ValueError when an elementwise metric's distance overflows the float range.
+    An unchecked kernel, except that a cosine query whose norm overflows raises ValueError.
+    ``norms`` holds the rows' ``_reference_norms``, read only under cosine.
     """
     if metric.kind == "cosine":
         # Summed like the reference norms, so that distances are symmetric
@@ -163,29 +163,28 @@ def _batch_distances(
         query_norm = _norms(query)
         if query_norm == 0.0:
             return None
+        if query_norm == math.inf:
+            raise ValueError(f"{metric} {_OVERFLOW}")
         # One dot product per row, not a matrix-vector product: BLAS rounds a
         # row of ``matrix @ query`` differently by its position in ``matrix``,
         # which would split exact-duplicate references and make a row's
         # distance depend on which snapshot holds it.
         return _cosine_distances(np.vecdot(matrix, query), norms, query_norm)
-    with np.errstate(over="ignore"):
-        diff = matrix - query  # a fresh array: the kernels below work in it
-        if metric.kind == "euclidean":
-            distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        else:
-            np.abs(diff, out=diff)
-            if metric.kind == "manhattan":
-                distances = diff.sum(axis=1)
-            else:
-                diff **= metric.p  # as ``diff ** metric.p``, square and sqrt shortcuts included
-                distances = diff.sum(axis=1) ** (1.0 / metric.p)
-    if not np.isfinite(distances).all():  # finite features: only an overflow gives inf
-        raise ValueError(f"{metric} distance overflows the float range")
-    return distances
+    diff = matrix - query  # a fresh array: the kernels below work in it
+    if metric.kind == "euclidean":
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    np.abs(diff, out=diff)
+    if metric.kind == "manhattan":
+        return diff.sum(axis=1)
+    diff **= metric.p  # as ``diff ** metric.p``, square and sqrt shortcuts included
+    return diff.sum(axis=1) ** (1.0 / metric.p)
 
 
 # Cosine query rows per fill step: larger blocks were no faster and hold more memory.
 _COSINE_BLOCK = 16
+# The error, after the metric, for finite features that overflow: the elementwise metrics
+# check distances, cosine its norms (an overflowing one divides dot products to a finite 1.0).
+_OVERFLOW = "distance overflows the float range"
 
 
 def _distance_matrix(
@@ -193,32 +192,33 @@ def _distance_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distances from the first ``n_rows`` rows of ``features`` (default all) to every row.
 
-    Row r holds ``_batch_distances`` with row r as the query over rows r onwards,
-    mirrored into column r of the later filled rows: that routine is symmetric to the
-    bit. Cosine fills ``_COSINE_BLOCK`` rows per step, over the columns from the
-    block's first row on, by one ``np.vecdot`` over the broadcast (row, column) pairs;
-    each pair gets the dot product, norm product and elementwise steps of
-    ``_batch_distances``, so the rows are the same bits. Euclidean, manhattan and
-    minkowski fill one row per call: blocks were no faster for them, and their
-    (rows, n, d) temporaries would raise peak memory. ``answered`` flags the filled
-    rows that answer. A zero-norm cosine query's row is 1.0 with no special case: its
-    norm counts as 1, as a reference's does, and its similarities round to 0. An
-    elementwise distance that overflows raises ValueError.
+    Row r holds ``_batch_distances`` with row r as the query over rows r onwards, mirrored
+    into column r of the later filled rows: that routine is symmetric to the bit. Cosine
+    fills ``_COSINE_BLOCK`` rows per step, over the columns from the block's first row on,
+    by one ``np.vecdot`` over the broadcast (row, column) pairs, each pair taking the steps
+    of ``_batch_distances``, so the same bits. The other metrics fill one row per call:
+    blocks were no faster, and their (rows, n, d) temporaries would raise peak memory.
+    ``answered`` flags the filled rows that answer; a zero-norm cosine query's row is 1.0,
+    its norm counted as 1. The fill runs under one ``np.errstate``; one scan then checks
+    every row's norm under cosine, filled or not, or every distance (``_OVERFLOW``).
     """
     n_rows = len(features) if n_rows is None else n_rows
     distances, answered = np.empty((n_rows, len(features))), np.ones(n_rows, dtype=bool)
     step = _COSINE_BLOCK if metric.kind == "cosine" else 1
-    if metric.kind == "cosine":
-        norms, answered = _reference_norms(features), _norms(features[:n_rows]) != 0.0
-    for r in range(0, n_rows, step):
-        stop = min(r + step, n_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
         if metric.kind == "cosine":
-            dots = np.vecdot(features[r:], features[r:stop, np.newaxis])
-            block = _cosine_distances(dots, norms[r:], norms[r:stop, np.newaxis])
-        else:
-            block = _batch_distances(features[r:], None, features[r], metric)[np.newaxis]
-        distances[r:stop, r:] = block
-        distances[stop:, r:stop] = block[:, stop - r : n_rows - r].T
+            norms, answered = _reference_norms(features), _norms(features[:n_rows]) != 0.0
+        for r in range(0, n_rows, step):
+            stop = min(r + step, n_rows)
+            if metric.kind == "cosine":
+                dots = np.vecdot(features[r:], features[r:stop, np.newaxis])
+                block = _cosine_distances(dots, norms[r:], norms[r:stop, np.newaxis])
+            else:
+                block = _batch_distances(features[r:], None, features[r], metric)[np.newaxis]
+            distances[r:stop, r:] = block
+            distances[stop:, r:stop] = block[:, stop - r : n_rows - r].T
+    if not np.isfinite(norms if metric.kind == "cosine" else distances).all():
+        raise ValueError(f"{metric} {_OVERFLOW}")
     return distances, answered
 
 
@@ -226,17 +226,17 @@ def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> flo
     """Distance between two feature vectors under the given metric.
 
     Cosine distance is 1 - cos(a, b) with the similarity clipped to [-1, 1],
-    so it is exactly 0 for positive scalar multiples and never negative. It
-    raises ValueError when either vector has zero norm, and under the other
-    metrics when the distance overflows the float range.
+    so it is exactly 0 for positive scalar multiples and never negative. It raises
+    ValueError when either vector has zero norm, and, as ``b``'s distance in the
+    one-entry snapshot of ``a``, under every metric when it overflows the float range.
     """
     va, vb = a.values, b.values
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.size} vs {vb.size}")
-    if metric.kind == "cosine" and not (_norms(va) and _norms(vb)):
-        raise ValueError("cosine distance is undefined for a zero-norm vector")
-    norms = _norms(va[np.newaxis]) if metric.kind == "cosine" else None
-    return float(_batch_distances(va[np.newaxis], norms, vb, metric)[0])
+    with np.errstate(over="ignore"):
+        if metric.kind == "cosine" and not (_norms(va) and _norms(vb)):
+            raise ValueError("cosine distance is undefined for a zero-norm vector")
+    return float(_query_distances(KnnModel([(a, Label.POSITIVE)], 1, metric), b)[0])
 
 
 def _vote(n_pos, k: int, threshold):
@@ -310,7 +310,9 @@ class KnnModel:
         self._entries = entries
         self._dim = dims.pop() if dims else None
         self._matrix = np.stack([f.values for f, _ in entries]) if entries else np.empty((0, 0))
-        self._norms = _reference_norms(self._matrix) if metric.kind == "cosine" else None
+        with np.errstate(over="ignore"):  # an overflowing norm raises at each query
+            self._norms = _reference_norms(self._matrix) if metric.kind == "cosine" else None
+        self._overflows = self._norms is not None and not np.isfinite(self._norms).all()
         self._is_pos = np.array([label is Label.POSITIVE for _, label in entries], dtype=bool)
 
     def __len__(self) -> int:
@@ -327,6 +329,8 @@ class KnnModel:
         )
 
 
+# A decorator enters numpy's error state in 0.25 µs a call, a with block in 0.6 (numpy 2.4, EPYC).
+@np.errstate(over="ignore", invalid="ignore")
 def _query_distances(model: KnnModel, query: FeatureVector) -> np.ndarray | None:
     """Distance from each entry, in insertion order, to ``query``; None if none is defined."""
     if len(model) < model.k:
@@ -334,7 +338,10 @@ def _query_distances(model: KnnModel, query: FeatureVector) -> np.ndarray | None
     q = query.values
     if q.size != model._dim:
         raise ValueError(f"dimension mismatch: query {q.size}, dataset {model._dim}")
-    return _batch_distances(model._matrix, model._norms, q, model.metric)
+    distances = _batch_distances(model._matrix, model._norms, q, model.metric)
+    if model._overflows or (model._norms is None and not np.isfinite(distances).all()):
+        raise ValueError(f"{model.metric} {_OVERFLOW}")
+    return distances
 
 
 def nearest_labels(model: KnnModel, query: FeatureVector) -> list[Label]:

@@ -97,18 +97,26 @@ _LOOP_OPTIONS = {
 
 _GRID_OPTIONS = {
     **_LOOP_OPTIONS,
+    "rng_seed": _Option(int, 0, "base seed of the runs' shuffles (online mode), "
+                                "first split seed (static mode)"),
     "k": _LOOP_OPTIONS["k"]._replace(default=_GRID.k_values),
     "metric": _LOOP_OPTIONS["metric"]._replace(default=_GRID.metrics),
     "l_value": _LOOP_OPTIONS["l_value"]._replace(default=_GRID.l_values),
     "train_fraction": _Option(_float_list, _GRID.train_fractions,
-                              "comma-separated fractions in (0, 1] (static mode)"),
-    "static_seeds": _Option(int, 5, "number of split seeds to average (static mode)"),
+                              "comma-separated fractions in (0, 1]"),
+    "static_seeds": _Option(int, 5, "number of split seeds to average"),
 }
 # The grid options that each mode does not read: setting one is a usage error.
+# The help marks each with the mode that reads it.
 _GRID_UNREAD = {
     "static": ("runs", "retrain_interval", "seed_size"),
     "online": ("train_fraction", "static_seeds"),
 }
+_GRID_OPTIONS.update(
+    (key, _GRID_OPTIONS[key]._replace(help=f"{_GRID_OPTIONS[key].help} ({mode} mode)"))
+    for mode, other in (("online", "static"), ("static", "online"))
+    for key in _GRID_UNREAD[other]
+)
 
 
 def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -> None:

@@ -20,11 +20,11 @@ from operator import attrgetter
 
 import numpy as np
 
-# KnnModel and classify are unused here: bench/child.py calls them, and preprocess,
+# KnnModel, classify and preprocess are unused here: bench/child.py calls them
 # through this module, and bench/spans.py patches all three here.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
 from .classifier import _count_nearest, _distance_matrix, _vote
-from .signal import ForceTrace, PreprocessConfig, _features, preprocess
+from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _features, preprocess
 
 __all__ = [
     "LabeledTrial",
@@ -228,28 +228,25 @@ class TrialDataError(ValueError):
 def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np.ndarray:
     """The trials' preprocessed features, one row each, for a distance matrix.
 
-    Up to ``_STACK`` consecutive traces of one length pass through ``preprocess``'s
-    kernel at once, each row equal to ``preprocess``'s bit for bit. Raises ValueError
-    before any trial is preprocessed when the trials' distance matrix would pass
-    ``_MATRIX_BYTES``. A stack whose finite traces overflow sends the first such
-    trial through ``preprocess``, whose ``ValueError`` becomes a ``TrialDataError``
-    naming it. A trace too short for the windows stays a plain ``ValueError``.
+    Up to ``_STACK`` consecutive traces of one length pass through ``preprocess``'s kernel
+    at once, under one ``np.errstate``, each row equal to ``preprocess``'s bit for bit.
+    Raises ValueError before any trial is preprocessed when the trials' distance matrix
+    would pass ``_MATRIX_BYTES``, and for a trace too short for the windows. One scan of
+    the matrix then finds the first trial whose finite trace overflows: a
+    ``TrialDataError`` names it, worded as ``preprocess`` words the overflow.
     """
     n = len(trials)
     if 8 * n * n > _MATRIX_BYTES:
         raise ValueError(f"{n} trials need a {8 * n * n}-byte distance matrix, over {_MATRIX_BYTES}")
-    stacks = []
-    for _, same_length in itertools.groupby(trials, key=lambda trial: len(trial.trace)):
-        same_length = list(same_length)
-        for stack in (same_length[i : i + _STACK] for i in range(0, len(same_length), _STACK)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                stacks.append(_features(np.stack([trial.trace.samples for trial in stack]), cfg))
-            for trial in itertools.compress(stack, ~np.isfinite(stacks[-1]).all(axis=1)):
-                try:  # the first trial that overflows raises
-                    preprocess(trial.trace, cfg)
-                except ValueError as exc:
-                    raise TrialDataError(f"trial {trial.id}: {exc}") from None
-    return np.concatenate(stacks)
+    groups = [list(group) for _, group in itertools.groupby(trials, key=lambda t: len(t.trace))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = np.concatenate([
+            _features(np.stack([trial.trace.samples for trial in group[i : i + _STACK]]), cfg)
+            for group in groups for i in range(0, len(group), _STACK)
+        ])
+    for trial in itertools.compress(trials, ~np.isfinite(features).all(axis=1)):
+        raise TrialDataError(f"trial {trial.id}: {_OVERFLOW}")  # the first that overflows
+    return features
 
 
 def _rows(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):

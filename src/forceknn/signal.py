@@ -157,10 +157,10 @@ def _features(x: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     return _window_means(_smooth(x, cfg.sg_window, cfg.sg_order), cfg.ds_window, cfg.ds_stride)
 
 
-def _feature_vector(values: np.ndarray) -> FeatureVector:
-    """``values`` as features; non-finite values (an overflow) raise ``_OVERFLOW``."""
+def _checked(make, values: np.ndarray, *args):
+    """``make(values, *args)``, a trace or features; an overflow's non-finite values raise."""
     try:
-        return FeatureVector(values)
+        return make(values, *args)
     except ValueError:
         raise ValueError(_OVERFLOW) from None
 
@@ -182,11 +182,7 @@ def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceT
     if order < 0 or order >= window:
         raise ValueError("order must satisfy 0 <= order < window")
     with np.errstate(over="ignore", invalid="ignore"):
-        smoothed = _smooth(trace.samples, window, order)
-    try:
-        return ForceTrace(smoothed, trace.sample_rate)
-    except ValueError:
-        raise ValueError(_OVERFLOW) from None
+        return _checked(ForceTrace, _smooth(trace.samples, window, order), trace.sample_rate)
 
 
 def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> FeatureVector:
@@ -203,7 +199,7 @@ def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> Fe
     if stride < 1:
         raise ValueError("stride must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _feature_vector(_window_means(trace.samples, window, stride))
+        return _checked(FeatureVector, _window_means(trace.samples, window, stride))
 
 
 def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) -> FeatureVector:
@@ -214,4 +210,4 @@ def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) ->
     ``ValueError`` as ``savgol_smooth``, without numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _feature_vector(_features(trace.samples, cfg))
+        return _checked(FeatureVector, _features(trace.samples, cfg))

@@ -118,12 +118,16 @@ class TestDistance:
 
     @pytest.mark.parametrize(
         "metric, scale",
-        # 3 ** 1000 from the root; a square; the difference itself; a power of 3.
-        [(minkowski(0.001), 1.0), (EUCLIDEAN, 1e200), (MANHATTAN, 1e308), (minkowski(3.0), 1e200)],
+        # 3 ** 1000 from the root; a square; the difference itself; a power of 3; a cosine
+        # norm, of the reference a or of the query b alone, whose distances read finite.
+        [(minkowski(0.001), 1.0), (EUCLIDEAN, 1e200), (MANHATTAN, 1e308), (minkowski(3.0), 1e200),
+         pytest.param(COSINE, (1e200, 1.0), id="cosine-huge-reference"),
+         pytest.param(COSINE, (1.0, 1e200), id="cosine-huge-query")],
         ids=lambda value: str(value),
     )
     def test_overflow_is_one_error_without_warnings(self, metric, scale):
-        a, b = _fv(scale, -scale, 2.0), _fv(-scale, scale, 0.5)
+        scale_a, scale_b = scale if isinstance(scale, tuple) else (scale, scale)
+        a, b = _fv(scale_a, -scale_a, 2.0), _fv(-scale_b, scale_b, 0.5)
         model = KnnModel([(a, Label.POSITIVE)], k=1, metric=metric)
         message = re.escape(f"{metric} distance overflows the float range")
         with warnings.catch_warnings():

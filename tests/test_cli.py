@@ -2,31 +2,60 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import forceknn
 from forceknn import online
-from forceknn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from forceknn.dataset_io import read_dataset
+from forceknn.classifier import Label
+from forceknn.cli import _GRID_UNREAD, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from forceknn.dataset_io import read_dataset, write_dataset
+from forceknn.signal import ForceTrace
+
+# Run in a fresh interpreter: every top-level module that gen and online load beyond
+# those loaded at start-up. numpy's Cython extensions register the two runtime modules
+# named in the filter, which come from no other package.
+DEPENDENCY_PROBE = """
+import sys
+loaded = set(sys.modules)
+from forceknn.cli import main
+dataset, out = sys.argv[1:]
+assert main(["gen", "--out", dataset, "--n-pos", "12", "--n-neg", "12", "--n-samples", "40"]) == 0
+assert main(["online", "--dataset", dataset, "--out", out, "--runs", "2",
+             "--seed-size", "12"]) == 0
+new = {name.partition(".")[0] for name in set(sys.modules) - loaded}
+print(sorted(name for name in new - set(sys.stdlib_module_names)
+             if name != "cython_runtime" and not name.startswith("_cython_")))
+"""
 
 
-def test_import_loads_no_scipy():
+def test_runtime_dependencies_are_numpy_alone(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL)
+    assert re.findall(r'"([\w.-]+)', declared.group(1)) == ["numpy"]
     env = {**os.environ, "PYTHONPATH": str(Path(forceknn.__file__).resolve().parents[1])}
-    probe = "import sys, forceknn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, encoding="utf-8",
-        timeout=120,
+        [sys.executable, "-c", DEPENDENCY_PROBE, str(tmp_path / "d.csv"), str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "['forceknn', 'numpy']"
 
 
 def test_benchmark_tracer_finds_every_patch_target():
@@ -46,6 +75,21 @@ def test_benchmark_tracer_finds_every_patch_target():
 def test_help_exits_zero(capsys, command):
     assert main([command, "--help"]) == EXIT_OK
     assert "--rng-seed" in capsys.readouterr().out
+
+
+def test_grid_help_names_the_mode_of_each_mode_only_option(capsys):
+    assert main(["grid", "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help lines
+    helps = {entry.split()[0]: entry for entry in re.split(r" (?=--[a-z])", text)}
+    for mode, other in (("online", "static"), ("static", "online")):
+        for key in _GRID_UNREAD[other]:
+            assert helps["--" + key.replace("_", "-")].count(f"({mode} mode)") == 1
+    marked = [flag for flag, entry in helps.items() if " mode)" in entry]
+    assert sorted(marked) == sorted(
+        ["--rng-seed", "--runs", "--retrain-interval", "--seed-size", "--train-fraction",
+         "--static-seeds"]
+    )
+    assert "(online mode)" in helps["--rng-seed"] and "(static mode)" in helps["--rng-seed"]
 
 
 def run_gen(tmp_path, name="data.csv", n_pos=14, n_neg=16, extra=()):
@@ -262,15 +306,13 @@ def test_distance_matrix_over_the_bound_is_infeasible_before_preprocessing(
 ):
     n = len(read_dataset(dataset))  # 36 trials: a 10 368-byte matrix
     monkeypatch.setattr(online, "_MATRIX_BYTES", 8 * n * n - 1)
-    # The stacked feature kernel, and preprocess, which it calls for a trial that overflows.
+    # The stacked feature kernel: the replay and the grid preprocess through it alone.
     monkeypatch.setattr(online, "_features", mock.Mock(side_effect=AssertionError))
-    monkeypatch.setattr(online, "preprocess", mock.Mock(side_effect=AssertionError))
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--dataset", str(dataset)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"infeasible config: {n} trials need a {8 * n * n}-byte distance matrix" in err
     online._features.assert_not_called()
-    online.preprocess.assert_not_called()
     assert not (tmp_path / out).exists()
 
 
@@ -583,3 +625,82 @@ class TestConfigFileAndExitCodes:
         )
         assert code == EXIT_CONFIG
         assert "trace of length 1000 is shorter than window 1001" in capsys.readouterr().err
+
+
+# Each command's flags for a small fuzzed dataset, given the dataset and output paths.
+FUZZED_COMMANDS = {
+    "online": lambda d, out: ["online", "--dataset", d, "--out", out, "--k", "3",
+                              "--runs", "2", "--seed-size", "4"],
+    "grid-static": lambda d, out: ["grid", "--mode", "static", "--dataset", d, "--out", out,
+                                   "--k", "1,3", "--static-seeds", "2"],
+    "grid-online": lambda d, out: ["grid", "--mode", "online", "--dataset", d, "--out", out,
+                                   "--k", "1,3", "--l-value", "50,100", "--runs", "2",
+                                   "--seed-size", "4"],
+}
+PREFIXES = {EXIT_DATA: "data error: ", EXIT_CONFIG: "infeasible config: "}
+
+
+def parse_outputs(out: Path) -> None:
+    """Parse every file the run wrote: JSON lines, or CSV under '#' echo lines."""
+    for path in sorted(out.iterdir()) if out.is_dir() else [out]:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".jsonl":
+            for line in text.splitlines():
+                json.loads(line)
+        else:
+            rows = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))
+            assert rows and all(len(row) == len(rows[0]) for row in rows), path
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan", "minkowski:3"])
+@pytest.mark.parametrize("command", FUZZED_COMMANDS)
+@settings(deadline=None, max_examples=10)
+@given(
+    rng_seed=st.integers(0, 2**16),
+    n_pos=st.integers(0, 12),
+    n_neg=st.integers(0, 12),
+    n_samples=st.sampled_from([40, 5]),  # 5 is shorter than the smoothing window
+    scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e200, 1e300]),
+    scale_all=st.booleans(),
+    # zero, constant, and smoothed past the float range
+    constant=st.lists(st.tuples(st.integers(0, 23), st.sampled_from([0.0, 2.5, 1.7e308])),
+                      max_size=3),
+    copies=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=3),
+)
+# One trial at 1e200: its features stay finite, but its cosine norm overflows.
+@example(rng_seed=0, n_pos=8, n_neg=8, n_samples=40, scale=1e200, scale_all=False,
+         constant=[], copies=[])
+def test_fuzzed_dataset_exits_cleanly(command, metric, rng_seed, n_pos, n_neg, n_samples,
+                                      scale, scale_all, constant, copies):
+    # Magnitudes from 1e-300 to 1e300, zero and constant traces, exact duplicates, one
+    # class or none, too few trials and too short traces: each run exits 0, 3 or 4 with
+    # one stderr line and no warning, and writes parseable files or none.
+    n = n_pos + n_neg
+    rng = np.random.default_rng(rng_seed)
+    samples = rng.normal(size=(n, n_samples)) + np.linspace(0.0, 3.0, n_samples)
+    samples[:n_pos] *= 2.0  # the classes differ in peak force
+    if n:
+        samples[: n if scale_all else 1] *= scale
+        for i, value in constant:
+            samples[i % n] = value
+        for i, j in copies:
+            samples[i % n] = samples[j % n]
+    labels = [Label.POSITIVE] * n_pos + [Label.NEGATIVE] * n_neg
+    trials = [online.LabeledTrial(f"t{i}", ForceTrace(row), label)
+              for i, (row, label) in enumerate(zip(samples, labels))]
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset, out = Path(tmp) / "d.csv", Path(tmp) / "out"
+        write_dataset(dataset, trials, n_samples=n_samples, sample_rate=500.0)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")  # a numpy warning would escape main()
+            code = main([*FUZZED_COMMANDS[command](str(dataset), str(out)), "--metric", metric])
+        err = stderr.getvalue()
+        if code == EXIT_OK:
+            assert err == ""
+            parse_outputs(out)
+        else:
+            assert code in PREFIXES, err
+            assert err.startswith(PREFIXES[code]) and err.count("\n") == 1 and err.endswith("\n")
+            assert not out.exists()

@@ -584,6 +584,25 @@ class TestDistanceStore:
         assert distances.shape == (3, 6) and answered.all()
         assert np.all(distances[:, 4] == 1.0)
 
+    @pytest.mark.parametrize("metric", [COSINE, EUCLIDEAN, minkowski(3.0)], ids=str)
+    def test_overflowing_row_outside_the_filled_prefix_raises(self, metric):
+        # Under cosine its column reads a finite 1.0: only its norm shows the overflow.
+        # (Manhattan distances of these rows stay finite.)
+        features = np.random.default_rng(0).normal(size=(6, 4))
+        features[4] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape
+            with pytest.raises(ValueError, match=f"^{metric} distance overflows the float range$"):
+                _distance_matrix(features, metric, 3)
+
+    @pytest.mark.parametrize("metric", [COSINE, EUCLIDEAN], ids=str)
+    def test_one_errstate_and_one_finiteness_scan_per_fill(self, metric):
+        features = np.random.default_rng(0).normal(size=(40, 5))
+        with mock.patch.object(np, "errstate", wraps=np.errstate) as errstate, \
+                mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+            _distance_matrix(features, metric)
+        assert errstate.call_count == isfinite.call_count == 1
+
 
 class TestFeatureMatrix:
     @pytest.mark.parametrize("n", [15, 16, 17])
@@ -611,10 +630,12 @@ class TestFeatureMatrix:
         huge = ForceTrace(np.full(len(trials[0].trace), 1.7e308), trials[0].trace.sample_rate)
         for i in (9, 12):  # both in the first stack of 16
             trials[i] = LabeledTrial(f"huge{i}", huge, Label.POSITIVE)
-        with warnings.catch_warnings():
+        # The finished matrix is scanned once: no trial goes through preprocess again.
+        with warnings.catch_warnings(), mock.patch.object(online, "preprocess") as preprocess:
             warnings.simplefilter("error")  # an overflow warning would escape
             with pytest.raises(online.TrialDataError) as error:
                 online._feature_matrix(trials, PreprocessConfig())
+        preprocess.assert_not_called()
         assert str(error.value) == "trial huge9: trace overflows the float range when preprocessed"
 
     def test_too_short_trace_is_a_plain_value_error(self):
