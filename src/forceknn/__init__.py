@@ -9,108 +9,21 @@ evaluation metrics and a reporting/grid-search CLI.
 
 __version__ = "0.1.0"
 
-from .classifier import (
-    COSINE,
-    EUCLIDEAN,
-    MANHATTAN,
-    Decision,
-    KnnModel,
-    Label,
-    Metric,
-    classify,
-    decide,
-    distance,
-    min_agreeing_count,
-    minkowski,
-    nearest_labels,
-)
-from .datagen import ClassProfile, GenParams, gen_dataset, gen_trial, profile_template
-from .dataset_io import DatasetFormatError, read_dataset, write_dataset
-from .grid import GridRow, GridSpec, online_grid, static_grid
-from .metrics import (
-    ConfusionCounts,
-    ConfusionMode,
-    SummaryRow,
-    TimeModel,
-    confusion,
-    cycle_time,
-    cycle_time_total,
-    precision,
-    recall,
-    sliding_window_series,
-    summarize_runs,
-    verification_savings,
-)
-from .online import (
-    LabeledTrial,
-    LoopConfig,
-    Phase,
-    RunReport,
-    TrialDataError,
-    TrialRecord,
-    run_online,
-    run_replicated,
-)
-from .signal import (
-    FeatureVector,
-    ForceTrace,
-    PreprocessConfig,
-    downsample_mean,
-    preprocess,
-    savgol_smooth,
-)
+from . import classifier, datagen, dataset_io, grid, metrics, online, signal
+from .signal import *
+from .classifier import *
+from .online import *
+from .metrics import *
+from .datagen import *
+from .dataset_io import *
+from .grid import *
 
-__all__ = [
-    "__version__",
-    "ForceTrace",
-    "FeatureVector",
-    "PreprocessConfig",
-    "savgol_smooth",
-    "downsample_mean",
-    "preprocess",
-    "Label",
-    "Decision",
-    "Metric",
-    "COSINE",
-    "EUCLIDEAN",
-    "MANHATTAN",
-    "minkowski",
-    "KnnModel",
-    "distance",
-    "nearest_labels",
-    "decide",
-    "classify",
-    "min_agreeing_count",
-    "LabeledTrial",
-    "LoopConfig",
-    "Phase",
-    "TrialRecord",
-    "RunReport",
-    "TrialDataError",
-    "run_online",
-    "run_replicated",
-    "ConfusionMode",
-    "ConfusionCounts",
-    "TimeModel",
-    "SummaryRow",
-    "confusion",
-    "precision",
-    "recall",
-    "sliding_window_series",
-    "cycle_time",
-    "cycle_time_total",
-    "verification_savings",
-    "summarize_runs",
-    "ClassProfile",
-    "GenParams",
-    "profile_template",
-    "gen_trial",
-    "gen_dataset",
-    "DatasetFormatError",
-    "write_dataset",
-    "read_dataset",
-    "GridSpec",
-    "GridRow",
-    "static_grid",
-    "online_grid",
-]
+# Each module's ``__all__`` is its public API; the package re-exports them in this order.
+__all__ = ["__version__"]
+__all__ += signal.__all__
+__all__ += classifier.__all__
+__all__ += online.__all__
+__all__ += metrics.__all__
+__all__ += datagen.__all__
+__all__ += dataset_io.__all__
+__all__ += grid.__all__

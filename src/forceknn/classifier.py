@@ -134,11 +134,11 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
 
 
-def _reference_norms(matrix: np.ndarray) -> np.ndarray:
-    """Row norms for cosine; a zero row gets norm 1, so it sits at similarity 0."""
+def _reference_norms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms for cosine, and which are non-zero; a zero row gets norm 1 (similarity 0)."""
     norms = _norms(matrix)
-    norms[norms == 0.0] = 1.0
-    return norms
+    nonzero = norms != 0.0
+    return np.where(nonzero, norms, 1.0), nonzero
 
 
 def _cosine_distances(dots: np.ndarray, norms: np.ndarray, query_norms) -> np.ndarray:
@@ -207,7 +207,7 @@ def _distance_matrix(
     step = _COSINE_BLOCK if metric.kind == "cosine" else 1
     with np.errstate(over="ignore", invalid="ignore"):
         if metric.kind == "cosine":
-            norms, answered = _reference_norms(features), _norms(features[:n_rows]) != 0.0
+            norms, answered = _reference_norms(features)  # answered is cut to n_rows below
         for r in range(0, n_rows, step):
             stop = min(r + step, n_rows)
             if metric.kind == "cosine":
@@ -219,7 +219,7 @@ def _distance_matrix(
             distances[stop:, r:stop] = block[:, stop - r : n_rows - r].T
     if not np.isfinite(norms if metric.kind == "cosine" else distances).all():
         raise ValueError(f"{metric} {_OVERFLOW}")
-    return distances, answered
+    return distances, answered[:n_rows]
 
 
 def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> float:
@@ -311,7 +311,7 @@ class KnnModel:
         self._dim = dims.pop() if dims else None
         self._matrix = np.stack([f.values for f, _ in entries]) if entries else np.empty((0, 0))
         with np.errstate(over="ignore"):  # an overflowing norm raises at each query
-            self._norms = _reference_norms(self._matrix) if metric.kind == "cosine" else None
+            self._norms = _reference_norms(self._matrix)[0] if metric.kind == "cosine" else None
         self._overflows = self._norms is not None and not np.isfinite(self._norms).all()
         self._is_pos = np.array([label is Label.POSITIVE for _, label in entries], dtype=bool)
 

@@ -40,6 +40,8 @@ def _write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
     included) leaves any earlier file untouched and removes the temporary
     file. A symlink at ``path`` stays in place and its target is replaced.
     When the temporary file cannot be made, the error names ``path``.
+    On ext4 a rename over an existing file waits for the new file's flush (the crash guarantee),
+    which about doubles a default ``online`` rerun into an existing ``--out`` (README "Limits").
     """
     target = path.resolve()
     tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")

@@ -99,7 +99,7 @@ class TestDistance:
             matrix = rng.normal(size=(int(rng.integers(2, 40)), int(rng.integers(2, 120))))
             matrix *= rng.uniform(1e-3, 1e3, size=(len(matrix), 1))
             matrix[-1] = 2.5 * matrix[0]
-            norms = _reference_norms(matrix)
+            norms, _ = _reference_norms(matrix)
             rows = np.stack([_batch_distances(matrix, norms, q, metric) for q in matrix])
             assert np.array_equal(rows, rows.T)
 

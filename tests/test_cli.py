@@ -58,6 +58,37 @@ def test_runtime_dependencies_are_numpy_alone(tmp_path):
     assert result.stdout.splitlines()[-1] == "['forceknn', 'numpy']"
 
 
+# Run in a fresh interpreter: the package re-exports each module's ``__all__`` in this
+# order, leaves no other public name, and loads neither the reports nor the CLI.
+PACKAGE_PROBE = """
+import sys
+import forceknn
+names = ["signal", "classifier", "online", "metrics", "datagen", "dataset_io", "grid"]
+modules = [sys.modules["forceknn." + name] for name in names]
+exported = ["__version__"] + [name for module in modules for name in module.__all__]
+assert forceknn.__all__ == exported and len(set(exported)) == len(exported), forceknn.__all__
+assert all(getattr(forceknn, name) is getattr(module, name)
+           for module in modules for name in module.__all__)
+public = {name for name in vars(forceknn) if not name.startswith("_")}
+assert public == set(exported[1:]) | set(names), sorted(public ^ (set(exported[1:]) | set(names)))
+print(*sorted(name for name in sys.modules if name.startswith("forceknn.")))
+"""
+
+
+def test_package_reexports_each_modules_all():
+    env = {**os.environ, "PYTHONPATH": str(Path(forceknn.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", PACKAGE_PROBE], env=env, capture_output=True, text=True,
+        encoding="utf-8", timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "forceknn." + name
+        for name in ("classifier", "datagen", "dataset_io", "grid", "metrics", "online", "signal")
+    ]
+    assert {"RecordColumns", "WindowPoint", "WindowCost"} <= set(forceknn.__all__)
+
+
 def test_benchmark_tracer_finds_every_patch_target():
     # bench/spans.py replaces functions by name in the package's modules; a
     # renamed or removed target would otherwise fail only in a traced run.
@@ -239,6 +270,19 @@ class TestOnline:
         assert main(args + ["--out", str(out_b)]) == EXIT_OK
         for name in ("summary.csv", "windows.csv", "records-l100.jsonl", "records-l50.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_rerun_into_the_same_out_replaces_every_file(self, tmp_path, dataset):
+        # The second run renames its files over the first run's, through temporary files.
+        out = tmp_path / "out"
+        args = ["online", "--dataset", str(dataset), "--out", str(out), *ONLINE_FLAGS]
+        assert main(args) == EXIT_OK
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        inodes = {path.name: path.stat().st_ino for path in out.iterdir()}
+        assert main(args) == EXIT_OK
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+        assert all(path.stat().st_ino != inodes[path.name] for path in out.iterdir())
+        assert sorted(first) == ["records-l100.jsonl", "records-l50.jsonl", "summary.csv",
+                                 "windows.csv"]
 
 
 def constant_trial_dataset(dataset, value="0.0"):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from forceknn import online
+from forceknn import classifier, online
 from forceknn.classifier import (
     COSINE,
     EUCLIDEAN,
@@ -523,7 +523,7 @@ METRICS = st.sampled_from([COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0), minkows
 
 def per_query_rows(features, metric, n_rows):
     """Rows 0 to n_rows - 1 as queries over every row, one ``_batch_distances`` call each."""
-    norms = _reference_norms(features)
+    norms, _ = _reference_norms(features)
     expected = np.ones((n_rows, len(features)))  # a zero-norm cosine query's row is all 1.0
     answered = np.zeros(n_rows, dtype=bool)
     for j in range(n_rows):
@@ -602,6 +602,16 @@ class TestDistanceStore:
                 mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
             _distance_matrix(features, metric)
         assert errstate.call_count == isfinite.call_count == 1
+
+    @pytest.mark.parametrize("n_rows", [None, 3])
+    def test_cosine_fill_sums_each_norm_once(self, n_rows):
+        # One norms pass gives both the reference norms and the rows that answer.
+        features = np.random.default_rng(0).normal(size=(6, 4))
+        features[1] = 0.0
+        with mock.patch.object(classifier, "_norms", wraps=classifier._norms) as norms:
+            _, answered = _distance_matrix(features, COSINE, n_rows)
+        assert norms.call_count == 1
+        assert answered.tolist() == [True, False, True, True, True, True][:n_rows]
 
 
 class TestFeatureMatrix:
