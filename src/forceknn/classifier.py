@@ -16,9 +16,9 @@ that overflow the float range raise one ``ValueError`` under every metric (``_OV
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,15 +118,19 @@ def minkowski(p: float = 3.0) -> Metric:
 def min_agreeing_count(k: int, l_value: float) -> int:
     """Smallest neighbour count N_c satisfying N_c * 100 >= l_value * k.
 
-    Evaluated in exact rational arithmetic so threshold cases sitting on the
-    boundary (e.g. k=11, l=90, where N_c >= 9.9 means at least 10 agreeing
-    neighbours) can never be lost to floating-point rounding.
+    Evaluated in exact integer arithmetic on l_value's ratio, so threshold
+    cases sitting on the boundary (e.g. k=11, l=90, where N_c >= 9.9 means
+    at least 10 agreeing neighbours) can never be lost to floating-point rounding.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if not 50.0 <= l_value <= 100.0:
         raise ValueError(f"l_value must lie in [50, 100], got {l_value!r}")
-    return math.ceil(Fraction(l_value) * k / 100)
+    try:
+        num, den = l_value.as_integer_ratio()
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        num, den = operator.index(l_value), 1
+    return -(-num * k // (den * 100))
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -340,6 +341,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command runs once and the process exits, so what is alive now (the
+    # interpreter's, numpy's and this package's modules and classes) lives
+    # until exit anyway. Once frozen, no full collection walks it again, neither
+    # during the command nor at exit. The library leaves the collector alone.
+    gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

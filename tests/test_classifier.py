@@ -5,9 +5,13 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forceknn.classifier import (
     COSINE,
@@ -28,6 +32,18 @@ from forceknn.classifier import _batch_distances, _reference_norms
 from forceknn.signal import FeatureVector
 
 ALL_METRICS = [COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0), minkowski(1.7)]
+
+# Every l-value type min_agreeing_count accepts, drawn from [50, 100] and its boundaries.
+_REAL_L = st.one_of(
+    st.sampled_from([50.0, 90.0, 100.0, 50.000001, 66.66666666666667]),
+    st.floats(50.0, 100.0),
+)
+L_VALUES = st.one_of(
+    _REAL_L.flatmap(lambda x: st.sampled_from([x, np.float64(x), Fraction(x), Decimal(x)])),
+    st.integers(50, 100).flatmap(lambda n: st.sampled_from([n, np.int64(n)])),
+    st.fractions(50, 100),
+    st.decimals(50, 100, allow_nan=False, allow_infinity=False),
+)
 
 
 def loop_distance(a, b, metric: Metric) -> float:
@@ -322,6 +338,11 @@ class TestDecide:
         assert min_agreeing_count(11, 50.0) == 6
         assert min_agreeing_count(11, 100.0) == 11
         assert min_agreeing_count(10, 50.0) == 5
+
+    @settings(deadline=None, max_examples=300)
+    @given(k=st.integers(1, 64), l_value=L_VALUES)
+    def test_min_agreeing_count_is_the_exact_rational_ceiling(self, k, l_value):
+        assert min_agreeing_count(k, l_value) == math.ceil(Fraction(l_value) * k / 100)
 
 
 class TestAbstentionMonotonicity:

@@ -38,6 +38,7 @@ dataset, out = sys.argv[1:]
 assert main(["gen", "--out", dataset, "--n-pos", "12", "--n-neg", "12", "--n-samples", "40"]) == 0
 assert main(["online", "--dataset", dataset, "--out", out, "--runs", "2",
              "--seed-size", "12"]) == 0
+assert not {"fractions", "decimal"} & set(sys.modules), "fractions or decimal loaded"
 new = {name.partition(".")[0] for name in set(sys.modules) - loaded}
 print(sorted(name for name in new - set(sys.stdlib_module_names)
              if name != "cython_runtime" and not name.startswith("_cython_")))
@@ -56,6 +57,29 @@ def test_runtime_dependencies_are_numpy_alone(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "['forceknn', 'numpy']"
+
+
+# Run in a fresh interpreter: the library leaves the collector alone, and only the
+# command-line entry point, which owns the process, freezes what is alive at its start.
+FREEZE_PROBE = """
+import gc
+import forceknn
+from forceknn.cli import main
+trials = forceknn.gen_dataset(12, 12, forceknn.GenParams(n_samples=40))
+forceknn.run_replicated(trials, forceknn.LoopConfig(k=3, seed_size=8), 2)
+assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+assert main(["--version"]) == 0
+assert gc.get_freeze_count() > 0
+"""
+
+
+def test_only_the_cli_freezes_the_collector():
+    env = {**os.environ, "PYTHONPATH": str(Path(forceknn.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE], env=env, capture_output=True, text=True,
+        encoding="utf-8", timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # Run in a fresh interpreter: the package re-exports each module's ``__all__`` in this
