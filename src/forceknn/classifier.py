@@ -122,15 +122,15 @@ def min_agreeing_count(k: int, l_value: float) -> int:
     cases sitting on the boundary (e.g. k=11, l=90, where N_c >= 9.9 means
     at least 10 agreeing neighbours) can never be lost to floating-point rounding.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    if not hasattr(k, "__index__") or k < 1:  # an int or a numpy integer, never a float
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     if not 50.0 <= l_value <= 100.0:
         raise ValueError(f"l_value must lie in [50, 100], got {l_value!r}")
     try:
         num, den = l_value.as_integer_ratio()
     except AttributeError:  # numpy integers have no as_integer_ratio
         num, den = operator.index(l_value), 1
-    return -(-num * k // (den * 100))
+    return -(-num * operator.index(k) // (den * 100))
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -372,10 +372,11 @@ def decide(neighbor_labels: Sequence[Label], k: int, l_value: float) -> Decision
     labels = list(neighbor_labels)
     if not labels:
         raise ValueError("neighbor label list is empty")
+    threshold = min_agreeing_count(k, l_value)
     if len(labels) != k:
         raise ValueError(f"expected exactly k={k} neighbor labels, got {len(labels)}")
     n_pos = sum(1 for label in labels if label is Label.POSITIVE)
-    return _decision(n_pos, k, min_agreeing_count(k, l_value))
+    return _decision(n_pos, k, threshold)
 
 
 def classify(model: KnnModel, query: FeatureVector) -> Decision:

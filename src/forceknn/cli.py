@@ -25,6 +25,7 @@ from .grid import GridRow, GridSpec, online_grid, static_grid
 from .metrics import TimeModel, summarize_runs
 from .online import LoopConfig, TrialDataError, _check_runs, run_replicated
 from .reports import (
+    _fmt,
     aggregate_window_series,
     write_grid_csv,
     write_records_jsonl,
@@ -126,7 +127,7 @@ def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -
         parser.add_argument(
             "--" + key.replace("_", "-"),
             type=option.convert,
-            help=f"{option.help} (default {_echo_value(option.default)})",
+            help=f"{option.help} (default {_fmt(option.default)})",
         )
 
 
@@ -254,14 +255,7 @@ def _loop_config(opts: dict, k: int, metric: Metric, l_value: float) -> LoopConf
 
 
 def _echo_pairs(opts: dict, dataset: str, extra: dict) -> dict:
-    echoed = {key: _echo_value(value) for key, value in opts.items()}
-    return {"forceknn_version": __version__, "dataset": dataset, **echoed, **extra}
-
-
-def _echo_value(value):
-    if isinstance(value, (list, tuple)):
-        return ",".join(str(v) for v in value)
-    return value
+    return {"forceknn_version": __version__, "dataset": dataset, **opts, **extra}
 
 
 def _cmd_online(args: argparse.Namespace) -> int:
@@ -341,11 +335,12 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A command runs once and the process exits, so what is alive now (the
-    # interpreter's, numpy's and this package's modules and classes) lives
-    # until exit anyway. Once frozen, no full collection walks it again, neither
-    # during the command nor at exit. The library leaves the collector alone.
-    gc.freeze()
+    # A command runs once and the process exits, so what is alive at the first call (the
+    # interpreter's, numpy's and this package's modules and classes) lives until exit anyway;
+    # frozen, no full collection walks it again. Later calls freeze nothing, so an in-process
+    # caller's garbage is still collected. The library leaves the collector alone.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -128,8 +128,7 @@ def _split_counts(
     # The test trials' rows (each test trial, as the query, to every pool trial)
     # in stable order: equal distances keep pool order, so the columns below m
     # of the full order are the stable order of the first m. int32 (n < 2**14) extracts faster.
-    full = _stable_argsort(distances[np.ix_(test_idx, pool_idx)])
-    full = full.astype(np.int32)
+    full = _stable_argsort(distances[np.ix_(test_idx, pool_idx)]).astype(np.int32)
     # Positive and negative votes per (fraction, k, l-value, test trial), every k's count
     # read off one running count; infeasible cells (train_size < k) stay undecided.
     k_values = np.array(grid.k_values)

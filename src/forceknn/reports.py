@@ -34,11 +34,10 @@ __all__ = [
 ]
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """One CSV cell, echo value or help default: a list joined with commas, ``None`` blank."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(str, value))
+    return "" if value is None else str(value)
 
 
 def config_echo(pairs: Mapping[str, object]) -> list[str]:

@@ -177,10 +177,7 @@ def savgol_smooth(trace: ForceTrace, window: int = 15, order: int = 2) -> ForceT
     trace whose smoothing overflows raises ``ValueError``, without numpy
     warnings.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be an odd positive integer")
-    if order < 0 or order >= window:
-        raise ValueError("order must satisfy 0 <= order < window")
+    PreprocessConfig(sg_window=window, sg_order=order)  # checks window and order
     with np.errstate(over="ignore", invalid="ignore"):
         return _checked(ForceTrace, _smooth(trace.samples, window, order), trace.sample_rate)
 
@@ -194,10 +191,7 @@ def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> Fe
     overflow raises the same ``ValueError`` as ``savgol_smooth``, without
     numpy warnings.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    PreprocessConfig(ds_window=window, ds_stride=stride)  # checks window and stride
     with np.errstate(over="ignore", invalid="ignore"):
         return _checked(FeatureVector, _window_means(trace.samples, window, stride))
 

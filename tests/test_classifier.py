@@ -29,6 +29,8 @@ from forceknn.classifier import (
     nearest_labels,
 )
 from forceknn.classifier import _batch_distances, _reference_norms
+from forceknn.grid import GridSpec
+from forceknn.online import LoopConfig
 from forceknn.signal import FeatureVector
 
 ALL_METRICS = [COSINE, EUCLIDEAN, MANHATTAN, minkowski(3.0), minkowski(1.7)]
@@ -343,6 +345,28 @@ class TestDecide:
     @given(k=st.integers(1, 64), l_value=L_VALUES)
     def test_min_agreeing_count_is_the_exact_rational_ceiling(self, k, l_value):
         assert min_agreeing_count(k, l_value) == math.ceil(Fraction(l_value) * k / 100)
+
+
+# Every entry point that takes k, at l=90; KnnModel is compared by its repr.
+K_ENTRY_POINTS = {
+    "min_agreeing_count": lambda k: min_agreeing_count(k, 90.0),
+    "KnnModel": lambda k: repr(KnnModel([(_fv(1.0, 0.0), Label.POSITIVE)] * 11, k, COSINE, 90.0)),
+    "LoopConfig": lambda k: LoopConfig(k=k, l_value=90.0),
+    "GridSpec": lambda k: GridSpec(k_values=(k,), l_values=(90.0,)),
+    "decide": lambda k: decide([Label.POSITIVE] * 10 + [Label.NEGATIVE], k, 90.0),
+}
+
+
+class TestIntegerK:
+    @pytest.mark.parametrize("k", [11.0, 11.5, np.float64(11.0)], ids=["11.0", "11.5", "np11.0"])
+    @pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+    def test_rejects_a_float_k(self, entry, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            K_ENTRY_POINTS[entry](k)
+
+    @pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+    def test_takes_a_numpy_integer_k(self, entry):
+        assert K_ENTRY_POINTS[entry](np.int64(11)) == K_ENTRY_POINTS[entry](11)
 
 
 class TestAbstentionMonotonicity:

@@ -61,15 +61,29 @@ def test_runtime_dependencies_are_numpy_alone(tmp_path):
 
 # Run in a fresh interpreter: the library leaves the collector alone, and only the
 # command-line entry point, which owns the process, freezes what is alive at its start.
+# Only its first call freezes, so a cycle that an in-process caller drops between two
+# calls is still collected.
 FREEZE_PROBE = """
 import gc
+import weakref
 import forceknn
 from forceknn.cli import main
 trials = forceknn.gen_dataset(12, 12, forceknn.GenParams(n_samples=40))
 forceknn.run_replicated(trials, forceknn.LoopConfig(k=3, seed_size=8), 2)
 assert gc.get_freeze_count() == 0, gc.get_freeze_count()
 assert main(["--version"]) == 0
-assert gc.get_freeze_count() > 0
+frozen = gc.get_freeze_count()
+assert frozen > 0
+class Node:
+    pass
+node = Node()
+node.self = node
+alive = weakref.ref(node)
+del node
+assert main(["--version"]) == 0
+gc.collect()
+assert alive() is None, "a cycle made between two calls was frozen"
+assert gc.get_freeze_count() == frozen, (gc.get_freeze_count(), frozen)
 """
 
 

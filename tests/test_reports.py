@@ -5,11 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from forceknn.datagen import gen_dataset
 from forceknn.metrics import TimeModel, cycle_time, sliding_window_series, summarize_runs
-from forceknn.classifier import Label
+from forceknn.classifier import COSINE, Label
 from forceknn.online import (
     LabeledTrial,
     LoopConfig,
@@ -215,3 +216,7 @@ class TestWriters:
             "# b = ",
             "# c = x",
         ]
+
+    def test_config_echo_writes_values_as_the_flags_take_them(self):
+        echo = {"k": [5, 11], "l": (100.0, 50.0), "x": np.float64(0.1), "m": [COSINE]}
+        assert config_echo(echo) == ["# k = 5,11", "# l = 100.0,50.0", "# x = 0.1", "# m = cosine"]

@@ -212,6 +212,13 @@ class TestSavgolSmooth:
         with pytest.raises(ValueError):
             savgol_smooth(ForceTrace(np.ones(n)), window, order)
 
+    @pytest.mark.parametrize(
+        "window, order, field", [(14, 2, "sg_window"), (15, 15, "sg_order"), (15, 16, "sg_order")]
+    )
+    def test_bad_arguments_name_the_config_field(self, window, order, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            savgol_smooth(ForceTrace(np.ones(100)), window, order)
+
 
 class TestDownsampleMean:
     def test_pairwise_means(self):
@@ -252,6 +259,11 @@ class TestDownsampleMean:
     def test_rejects_bad_arguments(self, window, stride, n):
         with pytest.raises(ValueError):
             downsample_mean(ForceTrace(np.ones(n)), window, stride)
+
+    @pytest.mark.parametrize("window, stride, field", [(0, 1, "ds_window"), (1, 0, "ds_stride")])
+    def test_bad_arguments_name_the_config_field(self, window, stride, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            downsample_mean(ForceTrace(np.ones(10)), window, stride)
 
 
 class TestPreprocess:
