@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .signal import FeatureVector
+from .signal import FeatureVector, _check_count
 
 __all__ = [
     "Label",
@@ -122,8 +122,7 @@ def min_agreeing_count(k: int, l_value: float) -> int:
     cases sitting on the boundary (e.g. k=11, l=90, where N_c >= 9.9 means
     at least 10 agreeing neighbours) can never be lost to floating-point rounding.
     """
-    if not hasattr(k, "__index__") or k < 1:  # an int or a numpy integer, never a float
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_count(k, "k")
     if not 50.0 <= l_value <= 100.0:
         raise ValueError(f"l_value must lie in [50, 100], got {l_value!r}")
     try:
@@ -232,13 +231,11 @@ def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> flo
     Cosine distance is 1 - cos(a, b) with the similarity clipped to [-1, 1],
     so it is exactly 0 for positive scalar multiples and never negative. It raises
     ValueError when either vector has zero norm, and, as ``b``'s distance in the
-    one-entry snapshot of ``a``, under every metric when it overflows the float range.
+    one-entry snapshot of ``a``, under every metric when their dimensions differ
+    or it overflows the float range.
     """
-    va, vb = a.values, b.values
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.size} vs {vb.size}")
     with np.errstate(over="ignore"):
-        if metric.kind == "cosine" and not (_norms(va) and _norms(vb)):
+        if metric.kind == "cosine" and not (_norms(a.values) and _norms(b.values)):
             raise ValueError("cosine distance is undefined for a zero-norm vector")
     return float(_query_distances(KnnModel([(a, Label.POSITIVE)], 1, metric), b)[0])
 

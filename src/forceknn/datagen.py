@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifier import Label
 from .online import LabeledTrial
-from .signal import ForceTrace
+from .signal import ForceTrace, _check_count
 
 __all__ = [
     "ClassProfile",
@@ -72,8 +72,7 @@ class GenParams:
     min_separation_stds: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        _check_count(self.n_samples, "n_samples")
         if not 0.0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be positive and finite")
         if self.contact_time_mean < 0 or self.contact_time_jitter < 0:
@@ -187,8 +186,8 @@ def gen_dataset(
     Each trial draws from its own seed spawned from ``rng_seed``, so the
     stream is reproducible and trials could be generated in parallel.
     """
-    if n_pos < 0 or n_neg < 0:
-        raise ValueError("trial counts must be non-negative")
+    for name, count in (("n_pos", n_pos), ("n_neg", n_neg), ("rng_seed", rng_seed)):
+        _check_count(count, name, 0)
     labels = _interleaved_labels(n_pos, n_neg)
     seeds = np.random.SeedSequence(rng_seed).spawn(len(labels))
     return [

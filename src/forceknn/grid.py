@@ -40,7 +40,7 @@ from .metrics import _fold_mean, summarize_runs
 from .online import LabeledTrial, LoopConfig, _feature_matrix, run_replicated
 # preprocess is not called here (the feature stack is online._feature_matrix) but
 # stays importable as grid.preprocess: the benchmark's tracer patches it there.
-from .signal import PreprocessConfig, preprocess
+from .signal import PreprocessConfig, _check_count, preprocess
 
 __all__ = ["GridSpec", "GridRow", "static_grid", "online_grid"]
 
@@ -171,8 +171,8 @@ def static_grid(
     trials = list(trials)
     if not seeds:
         raise ValueError("at least one seed is required")
-    if any(seed < 0 for seed in seeds):
-        raise ValueError(f"seeds must be non-negative, got {', '.join(map(str, seeds))}")
+    for seed in seeds:
+        _check_count(seed, "seeds", 0)
     if len(trials) < 2:
         raise ValueError("dataset too small to split")
     n = len(trials)

@@ -9,6 +9,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .online import RecordColumns, RunReport, TrialRecord
+from .signal import _check_count
 
 __all__ = [
     "ConfusionMode",
@@ -138,8 +139,7 @@ def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
 
     Booleans are summed as integers.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    _check_count(window, "window")
     cum = np.concatenate(([0], np.cumsum(values)))
     return cum[window:] - cum[:-window]
 

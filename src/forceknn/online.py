@@ -24,7 +24,7 @@ import numpy as np
 # through this module, and bench/spans.py patches all three here.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
 from .classifier import _count_nearest, _distance_matrix, _vote
-from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _features, preprocess
+from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _check_count, _features, preprocess
 
 __all__ = [
     "LabeledTrial",
@@ -105,10 +105,8 @@ class LoopConfig:
 
     def __post_init__(self) -> None:
         min_agreeing_count(self.k, self.l_value)  # validates k and l_value
-        if self.retrain_interval < 1:
-            raise ValueError("retrain_interval must be >= 1")
-        if self.seed_size < self.k:
-            raise ValueError(f"seed_size ({self.seed_size}) must be >= k ({self.k})")
+        _check_count(self.retrain_interval, "retrain_interval")
+        _check_count(self.seed_size, "seed_size", self.k)
         if not 0.0 < self.seed_min_positive_fraction <= 1.0:
             raise ValueError("seed_min_positive_fraction must lie in (0, 1]")
 
@@ -367,10 +365,8 @@ def _run_seed(base_seed: int, run_index: int) -> int:
 
 def _check_runs(n_runs: int, base_seed: int) -> None:
     """Raise ValueError unless ``run_replicated`` can make ``n_runs`` runs from ``base_seed``."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if base_seed < 0:
-        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
+    _check_count(n_runs, "n_runs")
+    _check_count(base_seed, "base_seed", 0)
 
 
 def run_replicated(

@@ -66,13 +66,13 @@ def aggregate_window_series(
     such runs are excluded from that index's mean and counted. Every mean
     is a left fold over runs in run order (``metrics._fold_mean``).
     """
-    lengths = {max(len(report.records) - window + 1, 0) for report in reports}
-    if len(lengths) > 1:
-        raise ValueError("runs produced window series of different lengths")
     per_run = []
     for report in reports:
         tp, fp, ver = _window_counts(report.records, window)
         per_run.append((tp, tp + fp, ver, _window_sums(_costs(report.records, tm), window)))
+    lengths = {len(tp) for tp, *_ in per_run}
+    if len(lengths) > 1:
+        raise ValueError("runs produced window series of different lengths")
     # (quantity, run, window index); an empty report list has no windows.
     tp, classified, verified, costs = np.array(per_run, dtype=float).reshape(
         len(reports), 4, lengths.pop() if lengths else 0

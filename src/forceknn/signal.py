@@ -39,6 +39,12 @@ def _as_finite_1d(values, what: str) -> np.ndarray:
     return arr
 
 
+def _check_count(value, name: str, floor: int = 1) -> None:
+    """ValueError naming ``name`` unless ``value`` is a Python or numpy integer >= ``floor``."""
+    if not isinstance(value, (int, np.integer)) or value < floor:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ForceTrace:
     """Fixed-rate z-axis force recording of one insertion trial.
@@ -92,14 +98,12 @@ class PreprocessConfig:
     ds_stride: int = 10
 
     def __post_init__(self) -> None:
-        if self.sg_window < 1 or self.sg_window % 2 == 0:
-            raise ValueError("sg_window must be an odd positive integer")
-        if self.sg_order < 0 or self.sg_order >= self.sg_window:
-            raise ValueError("sg_order must satisfy 0 <= sg_order < sg_window")
-        if self.ds_window < 1:
-            raise ValueError("ds_window must be >= 1")
-        if self.ds_stride < 1:
-            raise ValueError("ds_stride must be >= 1")
+        for name, floor in (("sg_window", 1), ("sg_order", 0), ("ds_window", 1), ("ds_stride", 1)):
+            _check_count(getattr(self, name), name, floor)
+        if self.sg_window % 2 == 0:
+            raise ValueError(f"sg_window must be odd, got {self.sg_window}")
+        if self.sg_order >= self.sg_window:
+            raise ValueError(f"sg_order must be < sg_window {self.sg_window}, got {self.sg_order}")
 
 
 @lru_cache(maxsize=None)

@@ -155,9 +155,10 @@ class TestDistance:
             with pytest.raises(ValueError, match=message):
                 classify(model, b)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            distance(_fv(1.0, 2.0), _fv(1.0, 2.0, 3.0), EUCLIDEAN)
+    @pytest.mark.parametrize("metric", ALL_METRICS[:4], ids=str)
+    def test_dimension_mismatch(self, metric):
+        with pytest.raises(ValueError, match="^dimension mismatch: query 3, dataset 2$"):
+            distance(_fv(1.0, 2.0), _fv(1.0, 2.0, 3.0), metric)
 
     def test_minkowski_identities(self):
         rng = np.random.default_rng(31)
@@ -361,7 +362,7 @@ class TestIntegerK:
     @pytest.mark.parametrize("k", [11.0, 11.5, np.float64(11.0)], ids=["11.0", "11.5", "np11.0"])
     @pytest.mark.parametrize("entry", K_ENTRY_POINTS)
     def test_rejects_a_float_k(self, entry, k):
-        with pytest.raises(ValueError, match="k must be a positive integer"):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
             K_ENTRY_POINTS[entry](k)
 
     @pytest.mark.parametrize("entry", K_ENTRY_POINTS)

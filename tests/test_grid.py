@@ -240,7 +240,7 @@ class TestStaticGrid:
             static_grid(trials[:1])
 
     def test_negative_seed_rejected(self, trials):
-        with pytest.raises(ValueError, match="seeds must be non-negative"):
+        with pytest.raises(ValueError, match="seeds must be an integer >= 0"):
             static_grid(trials, seeds=(0, -1))
 
     def test_one_distance_matrix_alive_at_a_time(self):
