@@ -1,6 +1,9 @@
 """Command-line interface: dataset generation, online replay and grid search.
 
 Exit codes: 0 success, 2 bad arguments, 3 data error, 4 infeasible config.
+Each subcommand checks every setting, then returns its work, which reads the
+dataset; ``main`` alone maps errors to codes: a ValueError is 2 before the
+work starts and 4 (the dataset rules the settings out) from the work.
 Each subcommand declares its settings once, in an options table: each key
 is a flag, a ``key = value`` config-file key (``--config``) and a line of the
 outputs' config echo. Command-line flags win over the file, which wins over
@@ -32,7 +35,7 @@ from .reports import (
     write_summary_csv,
     write_windows_csv,
 )
-from .signal import PreprocessConfig
+from .signal import PreprocessConfig, _check_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,10 +53,6 @@ def _float_list(text: str) -> list[float]:
 
 def _metric_list(text: str) -> list[Metric]:
     return [Metric.parse(part) for part in text.split(",") if part.strip()]
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Option(NamedTuple):
@@ -137,22 +136,22 @@ def _load_config(path: str, options: dict[str, _Option], unread: dict[str, str])
     for line_no, raw in enumerate(text.split("\n"), start=1):
         problem = _not_utf8(raw)
         if problem is not None:
-            raise _UsageError(f"{path}:{line_no}: {problem}")
+            raise ValueError(f"{path}:{line_no}: {problem}")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise _UsageError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in options:
-            raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
         if key in unread:
-            raise _UsageError(f"{path}:{line_no}: config key {key!r} {unread[key]}")
+            raise ValueError(f"{path}:{line_no}: config key {key!r} {unread[key]}")
         try:
             values[key] = options[key].convert(value)
         except ValueError:
-            raise _UsageError(f"{path}:{line_no}: bad config value for {key}: {value!r}") from None
+            raise ValueError(f"{path}:{line_no}: bad config value for {key}: {value!r}") from None
     return values
 
 
@@ -162,9 +161,9 @@ def _resolve(
     """Merge flag values, config-file values and defaults for one subcommand.
 
     The result holds every option in table order. Every subcommand takes
-    ``--rng-seed``; a negative one is rejected here, before any file is read
-    or written. So is a flag or config key in ``unread``, which maps each
-    option that this run ignores to the reason given.
+    ``--rng-seed``; a negative one is rejected here. So is a flag or config
+    key in ``unread``, which maps each option that this run ignores to the
+    reason given.
     """
     unread = unread or {}
     resolved = {key: option.default for key, option in options.items()}
@@ -173,10 +172,9 @@ def _resolve(
     given = [key for key in options if getattr(args, key) is not None]
     for key in given:
         if key in unread:
-            raise _UsageError(f"--{key.replace('_', '-')} {unread[key]}")
+            raise ValueError(f"--{key.replace('_', '-')} {unread[key]}")
     resolved.update((key, getattr(args, key)) for key in given)
-    if resolved["rng_seed"] < 0:
-        raise _UsageError(f"--rng-seed must be non-negative, got {resolved['rng_seed']}")
+    _check_count(resolved["rng_seed"], "rng_seed", 0)
     return resolved
 
 
@@ -211,32 +209,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _single(values: list, what: str):
     if len(values) != 1:
-        raise _UsageError(f"expected exactly one {what}, got {values!r}")
+        raise ValueError(f"expected exactly one {what}, got {values!r}")
     return values[0]
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> Callable[[], None]:
     opts = _resolve(args, _GEN_OPTIONS)
-    try:
-        params = GenParams(
-            n_samples=opts["n_samples"],
-            sample_rate=opts["sample_rate"],
-            noise_std=opts["noise_std"],
-            outlier_probability=opts["outlier_prob"],
-            outlier_scale=opts["outlier_scale"],
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    trials = gen_dataset(opts["n_pos"], opts["n_neg"], params, opts["rng_seed"])
-    write_dataset(
-        args.out,
-        trials,
-        overwrite=args.force,
-        n_samples=params.n_samples,
-        sample_rate=params.sample_rate,
+    params = GenParams(
+        n_samples=opts["n_samples"],
+        sample_rate=opts["sample_rate"],
+        noise_std=opts["noise_std"],
+        outlier_probability=opts["outlier_prob"],
+        outlier_scale=opts["outlier_scale"],
     )
-    print(f"wrote {len(trials)} trials to {args.out}")
-    return EXIT_OK
+    trials = gen_dataset(opts["n_pos"], opts["n_neg"], params, opts["rng_seed"])
+
+    def work() -> None:
+        write_dataset(
+            args.out,
+            trials,
+            overwrite=args.force,
+            n_samples=params.n_samples,
+            sample_rate=params.sample_rate,
+        )
+        print(f"wrote {len(trials)} trials to {args.out}")
+
+    return work
 
 
 def _preprocess_config(opts: dict) -> PreprocessConfig:
@@ -258,63 +256,59 @@ def _echo_pairs(opts: dict, dataset: str, extra: dict) -> dict:
     return {"forceknn_version": __version__, "dataset": dataset, **opts, **extra}
 
 
-def _cmd_online(args: argparse.Namespace) -> int:
+def _cmd_online(args: argparse.Namespace) -> Callable[[], None]:
     opts = _resolve(args, _LOOP_OPTIONS)
     k = _single(opts["k"], "k value")
     metric = _single(opts["metric"], "metric")
     if not opts["l_value"]:
-        raise _UsageError("expected at least one l-value, got none")
+        raise ValueError("expected at least one l-value, got none")
     records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
     if len(set(records_names)) != len(records_names):
-        raise _UsageError(f"l-values {opts['l_value']} would share a records file name")
-    # An infeasible config exits before the dataset is read, and a replay that
-    # fails on the data before the directory is made.
+        raise ValueError(f"l-values {opts['l_value']} would share a records file name")
     configs = [_loop_config(opts, k, metric, l_value) for l_value in opts["l_value"]]
     _check_runs(opts["runs"], opts["rng_seed"])
-    trials = read_dataset(args.dataset)
-    out_dir = Path(args.out)
-    tm = TimeModel()
-    distances: dict = {}  # one distance matrix, shared by every l-value
-    summary_rows = []
-    window_series = []
-    for cfg, records_name in zip(configs, records_names):
-        reports = run_replicated(trials, cfg, opts["runs"], opts["rng_seed"],
-                                 feature_cache=distances)
-        summary_rows.append(summarize_runs(reports))
-        window_series.append((cfg.l_value, aggregate_window_series(reports, tm)))
-        records_path = out_dir / records_name
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_records_jsonl(records_path, reports)
-        print(f"wrote {records_path}")
-    echo = _echo_pairs(opts, args.dataset, {
-        "n_trials": len(trials),
-        "iteration_cost": tm.iteration_cost,
-        "verification_cost": tm.verification_cost,
-    })
-    summary_path = out_dir / "summary.csv"
-    write_summary_csv(summary_path, summary_rows, echo)
-    print(f"wrote {summary_path}")
-    windows_path = out_dir / "windows.csv"
-    write_windows_csv(windows_path, window_series, echo)
-    print(f"wrote {windows_path}")
-    return EXIT_OK
+
+    def work() -> None:
+        trials = read_dataset(args.dataset)
+        out_dir = Path(args.out)
+        tm = TimeModel()
+        distances: dict = {}  # one distance matrix, shared by every l-value
+        summary_rows = []
+        window_series = []
+        for cfg, records_name in zip(configs, records_names):
+            reports = run_replicated(trials, cfg, opts["runs"], opts["rng_seed"],
+                                     feature_cache=distances)
+            summary_rows.append(summarize_runs(reports))
+            window_series.append((cfg.l_value, aggregate_window_series(reports, tm)))
+            records_path = out_dir / records_name
+            out_dir.mkdir(parents=True, exist_ok=True)  # a replay failing on the data makes none
+            write_records_jsonl(records_path, reports)
+            print(f"wrote {records_path}")
+        echo = _echo_pairs(opts, args.dataset, {
+            "n_trials": len(trials),
+            "iteration_cost": tm.iteration_cost,
+            "verification_cost": tm.verification_cost,
+        })
+        summary_path = out_dir / "summary.csv"
+        write_summary_csv(summary_path, summary_rows, echo)
+        print(f"wrote {summary_path}")
+        windows_path = out_dir / "windows.csv"
+        write_windows_csv(windows_path, window_series, echo)
+        print(f"wrote {windows_path}")
+
+    return work
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
+def _cmd_grid(args: argparse.Namespace) -> Callable[[], None]:
     why = f"is not read by grid --mode {args.mode}"
     opts = _resolve(args, _GRID_OPTIONS, dict.fromkeys(_GRID_UNREAD[args.mode], why))
-    try:
-        grid = GridSpec(
-            k_values=tuple(opts["k"]),
-            metrics=tuple(opts["metric"]),
-            l_values=tuple(opts["l_value"]),
-            train_fractions=tuple(opts["train_fraction"]),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if opts["static_seeds"] < 1:
-        raise _UsageError(f"--static-seeds must be at least 1, got {opts['static_seeds']}")
-    # An infeasible config exits before the dataset is read.
+    grid = GridSpec(
+        k_values=tuple(opts["k"]),
+        metrics=tuple(opts["metric"]),
+        l_values=tuple(opts["l_value"]),
+        train_fractions=tuple(opts["train_fraction"]),
+    )
+    _check_count(opts["static_seeds"], "static_seeds")
     if args.mode == "static":
         seeds = [opts["rng_seed"] + i for i in range(opts["static_seeds"])]
         sweep = functools.partial(
@@ -326,12 +320,15 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         _check_runs(opts["runs"], opts["rng_seed"])
         sweep = functools.partial(online_grid, grid=grid, base_cfg=base_cfg,
                                   n_runs=opts["runs"], base_seed=opts["rng_seed"])
-    trials = read_dataset(args.dataset)
-    rows: list[GridRow] = sweep(trials)
-    echo = _echo_pairs(opts, args.dataset, {"mode": args.mode, "n_trials": len(trials)})
-    write_grid_csv(args.out, rows, echo)
-    print(f"wrote {args.out} ({len(rows)} cells)")
-    return EXIT_OK
+
+    def work() -> None:
+        trials = read_dataset(args.dataset)
+        rows: list[GridRow] = sweep(trials)
+        echo = _echo_pairs(opts, args.dataset, {"mode": args.mode, "n_trials": len(trials)})
+        write_grid_csv(args.out, rows, echo)
+        print(f"wrote {args.out} ({len(rows)} cells)")
+
+    return work
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -346,17 +343,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    work = None
     try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        work = args.func(args)
+        work()
     except (DatasetFormatError, TrialDataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
-        print(f"infeasible config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        prefix, code = ("error", EXIT_USAGE) if work is None else ("infeasible config", EXIT_CONFIG)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

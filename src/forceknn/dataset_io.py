@@ -39,7 +39,7 @@ def _write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
     only once it is complete, so a failed write (a failing generator
     included) leaves any earlier file untouched and removes the temporary
     file. A symlink at ``path`` stays in place and its target is replaced.
-    When the temporary file cannot be made, the error names ``path``.
+    When the temporary file cannot be made or renamed, the error names ``path``.
     On ext4 a rename over an existing file waits for the new file's flush (the crash guarantee),
     which about doubles a default ``online`` rerun into an existing ``--out`` (README "Limits").
     """
@@ -47,15 +47,16 @@ def _write_text_atomic(path: Path, chunks: Iterable[str]) -> None:
     tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
         handle = open(tmp, "x", encoding="utf-8", newline="\n")
+        try:
+            with handle:
+                handle.writelines(chunks)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
-        exc.filename = str(path)  # the user's path, not the hidden temporary file's
-        raise
-    try:
-        with handle:
-            handle.writelines(chunks)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        if exc.filename == str(tmp):  # name the user's path, not the hidden temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -70,9 +71,9 @@ def write_dataset(
     """Write trials to ``path``; refuses to replace an existing file unless asked.
 
     All trials must share one trace length and sample rate, and no id may
-    hold a comma or a line break, which ``read_dataset`` would split on. For
-    an empty dataset the header metadata comes from
-    ``n_samples``/``sample_rate``.
+    repeat or hold a comma or a line break, which ``read_dataset`` would
+    split on: each is rejected before the file is opened. For an empty
+    dataset the header metadata comes from ``n_samples``/``sample_rate``.
     """
     path = Path(path)
     if path.exists() and not overwrite:
@@ -81,11 +82,15 @@ def write_dataset(
     if trials:
         n_samples = len(trials[0].trace)
         sample_rate = trials[0].trace.sample_rate
+        seen_ids: set[str] = set()
         for trial in trials:
             if len(trial.trace) != n_samples or trial.trace.sample_rate != sample_rate:
                 raise ValueError("all trials in a dataset file must share n_samples and sample_rate")
             if any(char in trial.id for char in ",\n\r"):
                 raise ValueError(f"trial id {trial.id!r} holds a comma or a line break")
+            if trial.id in seen_ids:
+                raise ValueError(f"duplicate trial id {trial.id!r}")
+            seen_ids.add(trial.id)
     else:
         n_samples = 0 if n_samples is None else int(n_samples)
         sample_rate = 500.0 if sample_rate is None else float(sample_rate)

@@ -409,26 +409,35 @@ def test_negative_rng_seed_is_usage_error_before_reading(tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     # the dataset does not exist: reading it first would exit with EXIT_DATA
     assert main([*argv, "--rng-seed", "-1"]) == EXIT_USAGE
-    assert "--rng-seed must be non-negative, got -1" in capsys.readouterr().err
+    assert "error: rng_seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / argv[2]).exists()
 
 
 @pytest.mark.parametrize(
-    ("argv", "out"),
-    [(["online", "--out", "out", "--runs", "0"], "out"),
-     (["online", "--out", "out", "--seed-size", "5", "--k", "11"], "out"),
-     (["online", "--out", "out", "--l-value", "100,150"], "out"),
-     (["grid", "--out", "online.csv", "--mode", "online", "--runs", "0"], "online.csv"),
-     (["grid", "--out", "static.csv", "--mode", "static", "--sg-window", "4"], "static.csv")],
-    ids=["online-runs", "online-seed-size", "online-l-value", "grid-online-runs",
-         "grid-static-sg-window"],
+    "argv",
+    [["gen", "--out", "gen.csv", "--n-pos", "-1"],
+     ["online", "--out", "out", "--runs", "0"],
+     ["online", "--out", "out", "--seed-size", "5", "--k", "11"],
+     ["online", "--out", "out", "--l-value", "100,150"],
+     ["online", "--out", "out", "--k", "0"],
+     ["online", "--out", "out", "--retrain-interval", "0"],
+     ["online", "--out", "out", "--sg-window", "14"],
+     ["grid", "--out", "online.csv", "--mode", "online", "--runs", "0"],
+     ["grid", "--out", "online.csv", "--mode", "online", "--seed-size", "0"],
+     ["grid", "--out", "static.csv", "--mode", "static", "--sg-window", "4"]],
+    ids=["gen-n-pos", "online-runs", "online-seed-size", "online-l-value", "online-k",
+         "online-retrain-interval", "online-sg-window", "grid-online-runs",
+         "grid-online-seed-size", "grid-static-sg-window"],
 )
-def test_infeasible_config_exits_before_reading(tmp_path, monkeypatch, capsys, argv, out):
+def test_rejected_setting_exits_2_before_reading(tmp_path, monkeypatch, capsys, argv):
+    # Every setting that a config object or a count check rejects is a bad argument.
     monkeypatch.chdir(tmp_path)
     # the dataset does not exist: reading it first would exit with EXIT_DATA
-    assert main([*argv, "--dataset", "missing.csv"]) == EXIT_CONFIG
-    assert "infeasible config: " in capsys.readouterr().err
-    assert not (tmp_path / out).exists()
+    dataset = [] if argv[0] == "gen" else ["--dataset", "missing.csv"]
+    assert main([*argv, *dataset]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
 
 
 class TestGrid:
@@ -479,9 +488,9 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         ("flags", "message"),
-        [(["--static-seeds", "0"], "--static-seeds must be at least 1"),
-         (["--static-seeds", "-2"], "--static-seeds must be at least 1"),
-         (["--rng-seed", "-1"], "--rng-seed must be non-negative")],
+        [(["--static-seeds", "0"], "error: static_seeds must be an integer >= 1, got 0"),
+         (["--static-seeds", "-2"], "error: static_seeds must be an integer >= 1, got -2"),
+         (["--rng-seed", "-1"], "error: rng_seed must be an integer >= 0, got -1")],
         ids=["no-seeds", "negative-seed-count", "negative-rng-seed"],
     )
     def test_bad_static_seeds_are_usage_errors_before_reading(
@@ -645,6 +654,26 @@ class TestConfigFileAndExitCodes:
         assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
         assert sorted(tmp_path.iterdir()) == [dataset]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n-pos", "1", "--n-neg", "1", "--force"],
+            ["grid", "--dataset", "{file}", "--k", "5", "--metric", "cosine", "--l-value", "50",
+             "--train-fraction", "1"],
+        ],
+        ids=["gen", "grid"],
+    )
+    def test_write_over_a_directory_names_the_path(self, tmp_path, dataset, capsys, argv):
+        # The temporary file is made, but renaming it over the directory fails.
+        out = tmp_path / "cfgdir"
+        out.mkdir()
+        code = main([arg.format(file=dataset) for arg in argv] + ["--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert ".tmp" not in err
+        assert sorted(tmp_path.iterdir()) == [out, dataset] and not any(out.iterdir())
+
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,label,2,500.0\nx,pos,1.0\n", encoding="utf-8")
@@ -688,18 +717,19 @@ class TestConfigFileAndExitCodes:
         assert not out.exists()
 
     def test_infeasible_config_exit_code(self, tmp_path, dataset, capsys):
+        # A setting that a config object rejects is a bad argument, with or without a dataset.
         code = main(
             ["online", "--dataset", str(dataset), "--out", str(tmp_path / "o"),
              "--l-value", "150"]
         )
-        assert code == EXIT_CONFIG
-        capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
         code = main(
             ["online", "--dataset", str(dataset), "--out", str(tmp_path / "o"),
              "--seed-size", "5", "--k", "11"]
         )
-        assert code == EXIT_CONFIG
-        capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
         # windows longer than the traces: the config is at fault, not a trial
         code = main(
             ["online", "--dataset", str(dataset), "--out", str(tmp_path / "o"),

@@ -297,6 +297,13 @@ class TestTrialIds:
             write_dataset(path, trials)
         assert not path.exists()
 
+    def test_repeated_id_rejected_before_writing(self, tmp_path):
+        # read_dataset would refuse the file: "line 3: duplicate trial id 'trial-0000'".
+        trials = gen_dataset(1, 0, rng_seed=0) + gen_dataset(1, 0, rng_seed=1)
+        with pytest.raises(ValueError, match="^duplicate trial id 'trial-0000'$"):
+            write_dataset(tmp_path / "data.csv", trials)
+        assert not any(tmp_path.iterdir())  # neither the file nor a temporary file
+
     def test_ids_with_spaces_quotes_and_non_ascii_round_trip(self, tmp_path):
         ids = ["trial 1", 'say "hi"', "it's", "größe-Ω", " padded "]
         trials = [LabeledTrial(i, ForceTrace(np.ones(3), 10.0), Label.NEGATIVE) for i in ids]
