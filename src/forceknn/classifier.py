@@ -147,7 +147,8 @@ def _reference_norms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _cosine_distances(dots: np.ndarray, norms: np.ndarray, query_norms) -> np.ndarray:
     """``1 - clip(dots / (norms * query_norms), -1, 1)``, computed in ``dots``."""
     dots /= norms * query_norms
-    np.clip(dots, -1.0, 1.0, out=dots)
+    np.maximum(dots, -1.0, out=dots)  # np.clip's bits, without its Python wrapper
+    np.minimum(dots, 1.0, out=dots)
     return np.subtract(1.0, dots, out=dots)
 
 
@@ -179,7 +180,11 @@ def _batch_distances(
     np.abs(diff, out=diff)
     if metric.kind == "manhattan":
         return diff.sum(axis=1)
-    diff **= metric.p  # as ``diff ** metric.p``, square and sqrt shortcuts included
+    if metric.p == 3.0:
+        # |d| * (|d| * |d|): half the time of numpy's pow, and the same bits on every CPU
+        diff *= diff * diff
+    else:
+        diff **= metric.p  # numpy's pow, its square and sqrt shortcuts included
     return diff.sum(axis=1) ** (1.0 / metric.p)
 
 

@@ -33,7 +33,7 @@ def _as_finite_1d(values, what: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a non-empty 1-D sequence of numbers")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
     arr.flags.writeable = False
     return arr
@@ -145,7 +145,7 @@ def _smooth(x: np.ndarray, window: int, order: int) -> np.ndarray:
     projection = _savgol_projection(window, order)
     half, stop = window // 2, x.shape[-1] - window // 2
     smoothed = np.empty_like(x)
-    smoothed[..., half:stop] = _windows(x, window, 1) @ projection[half]
+    np.matmul(_windows(x, window, 1), projection[half], out=smoothed[..., half:stop])
     np.matmul(projection[:half], x[..., :window, None], out=smoothed[..., :half, None])
     np.matmul(projection[half + 1 :], x[..., -window:, None], out=smoothed[..., stop:, None])
     return smoothed
@@ -200,6 +200,7 @@ def downsample_mean(trace: ForceTrace, window: int = 10, stride: int = 10) -> Fe
         return _checked(FeatureVector, _window_means(trace.samples, window, stride))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # by decorator: cheaper per call than a with block
 def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) -> FeatureVector:
     """Smooth then down-sample: the full trace-to-feature pipeline.
 
@@ -207,5 +208,4 @@ def preprocess(trace: ForceTrace, cfg: PreprocessConfig = PreprocessConfig()) ->
     A trace whose smoothing or down-sampling overflows raises the same
     ``ValueError`` as ``savgol_smooth``, without numpy warnings.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _checked(FeatureVector, _features(trace.samples, cfg))
+    return _checked(FeatureVector, _features(trace.samples, cfg))
