@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .signal import FeatureVector, _check_count
+from .signal import FeatureVector, _check_count, _check_real
 
 __all__ = [
     "Label",
@@ -79,8 +79,9 @@ class Metric:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.kind == "minkowski":
-            if self.p is None or not 0 < self.p < math.inf:
+            if self.p is None:
                 raise ValueError("minkowski requires an explicit finite exponent p > 0")
+            _check_real(self.p, "minkowski p", 0, math.inf, "()")
         elif self.p is not None:
             raise ValueError(f"{self.kind} does not take an exponent")
 
@@ -123,8 +124,7 @@ def min_agreeing_count(k: int, l_value: float) -> int:
     at least 10 agreeing neighbours) can never be lost to floating-point rounding.
     """
     _check_count(k, "k")
-    if not 50.0 <= l_value <= 100.0:
-        raise ValueError(f"l_value must lie in [50, 100], got {l_value!r}")
+    _check_real(l_value, "l_value", 50, 100, "[]")
     try:
         num, den = l_value.as_integer_ratio()
     except AttributeError:  # numpy integers have no as_integer_ratio

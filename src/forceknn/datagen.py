@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifier import Label
 from .online import LabeledTrial
-from .signal import ForceTrace, _check_count
+from .signal import ForceTrace, _check_count, _check_real
 
 __all__ = [
     "ClassProfile",
@@ -40,8 +40,9 @@ class ClassProfile:
     plateau_force_std: float
 
     def __post_init__(self) -> None:
-        if self.peak_force_std < 0 or self.plateau_force_std < 0:
-            raise ValueError("force stds must be non-negative")
+        for name in ("peak_force", "plateau_force"):
+            _check_real(getattr(self, f"{name}_mean"), f"{name}_mean")
+            _check_real(getattr(self, f"{name}_std"), f"{name}_std", 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -73,27 +74,20 @@ class GenParams:
 
     def __post_init__(self) -> None:
         _check_count(self.n_samples, "n_samples")
-        if not 0.0 < self.sample_rate < math.inf:
-            raise ValueError("sample_rate must be positive and finite")
-        if self.contact_time_mean < 0 or self.contact_time_jitter < 0:
-            raise ValueError("contact time parameters must be non-negative")
-        if self.ramp_duration <= 0 or self.relax_duration <= 0:
-            raise ValueError("ramp and relax durations must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if not 0.0 <= self.outlier_probability < 1.0:
-            raise ValueError("outlier_probability must lie in [0, 1)")
-        if self.outlier_scale < 1.0:
-            raise ValueError("outlier_scale must be >= 1")
-        if self.min_separation_stds < 0:
-            raise ValueError("min_separation_stds must be non-negative")
+        for names, low, high, ends in (
+            (("sample_rate", "ramp_duration", "relax_duration"), 0, math.inf, "()"),
+            (("contact_time_mean", "contact_time_jitter", "noise_std", "min_separation_stds"),
+             0, math.inf, "[)"),
+            (("outlier_probability",), 0, 1, "[)"),
+            (("outlier_scale",), 1, math.inf, "[)"),
+        ):
+            for name in names:
+                _check_real(getattr(self, name), name, low, high, ends)
+        pos, neg = self.positive, self.negative
         for name in ("peak", "plateau"):
-            pos_mean = getattr(self.positive, f"{name}_force_mean")
-            neg_mean = getattr(self.negative, f"{name}_force_mean")
-            combined = getattr(self.positive, f"{name}_force_std") + getattr(
-                self.negative, f"{name}_force_std"
-            )
-            if abs(pos_mean - neg_mean) < self.min_separation_stds * combined:
+            gap = getattr(pos, f"{name}_force_mean") - getattr(neg, f"{name}_force_mean")
+            combined = getattr(pos, f"{name}_force_std") + getattr(neg, f"{name}_force_std")
+            if abs(gap) < self.min_separation_stds * combined:
                 raise ValueError(
                     f"{name} force means are closer than min_separation_stds allows; "
                     "lower min_separation_stds for overlapping classes"
@@ -129,6 +123,7 @@ def profile_template(
     return peak_force * _smoothstep(u_ramp) + (plateau_force - peak_force) * _smoothstep(u_relax)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite trace raises below
 def gen_trial(
     label: Label,
     params: GenParams,
@@ -138,7 +133,8 @@ def gen_trial(
     """Draw one synthetic trial of the given class.
 
     Draw order is fixed (contact jitter, peak, plateau, outlier, noise), so a
-    seeded generator reproduces the trace exactly.
+    seeded generator reproduces the trace exactly. A trace that overflows the
+    float range raises ``ValueError`` naming the trial, without numpy warnings.
     """
     profile = params.profile(label)
     contact = params.contact_time_mean + rng.uniform(
@@ -158,21 +154,19 @@ def gen_trial(
         params.relax_duration,
     )
     samples = samples + rng.normal(0.0, params.noise_std, params.n_samples)
-    return LabeledTrial(trial_id, ForceTrace(samples, params.sample_rate), label)
+    try:
+        return LabeledTrial(trial_id, ForceTrace(samples, params.sample_rate), label)
+    except ValueError as exc:  # the settings are checked, so the samples overflowed
+        raise ValueError(f"{trial_id}: {exc}; the settings overflow the float range") from None
 
 
 def _interleaved_labels(n_pos: int, n_neg: int) -> list[Label]:
     """Evenly spread n_pos positive labels through a stream of n_pos + n_neg."""
     total = n_pos + n_neg
-    labels = []
-    placed = 0
-    for i in range(total):
-        if (i + 1) * n_pos // total > placed:
-            labels.append(Label.POSITIVE)
-            placed += 1
-        else:
-            labels.append(Label.NEGATIVE)
-    return labels
+    return [
+        Label.POSITIVE if (i + 1) * n_pos // total > i * n_pos // total else Label.NEGATIVE
+        for i in range(total)
+    ]
 
 
 def gen_dataset(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classifier import Label
 from .online import LabeledTrial
-from .signal import ForceTrace
+from .signal import ForceTrace, _check_count, _check_real
 
 __all__ = ["DatasetFormatError", "write_dataset", "read_dataset"]
 
@@ -65,8 +65,8 @@ def write_dataset(
     trials: Sequence[LabeledTrial],
     *,
     overwrite: bool = False,
-    n_samples: int | None = None,
-    sample_rate: float | None = None,
+    n_samples: int = 0,
+    sample_rate: float = 500.0,
 ) -> None:
     """Write trials to ``path``; refuses to replace an existing file unless asked.
 
@@ -92,13 +92,11 @@ def write_dataset(
                 raise ValueError(f"duplicate trial id {trial.id!r}")
             seen_ids.add(trial.id)
     else:
-        n_samples = 0 if n_samples is None else int(n_samples)
-        sample_rate = 500.0 if sample_rate is None else float(sample_rate)
-        if n_samples < 0 or not 0 < sample_rate < np.inf:
-            raise ValueError("an empty dataset needs n_samples >= 0 and a finite sample_rate > 0")
+        _check_count(n_samples, "an empty dataset's n_samples", 0)
+        _check_real(sample_rate, "an empty dataset's sample_rate", 0, np.inf, "()")
 
     def lines() -> Iterator[str]:
-        yield f"id,label,{n_samples},{float(sample_rate)!r}\n"
+        yield f"id,label,{int(n_samples)},{float(sample_rate)!r}\n"
         for trial in trials:
             values = ",".join(repr(float(v)) for v in trial.trace.samples)
             yield f"{trial.id},{_LABEL_TO_TEXT[trial.truth]},{values}\n"

@@ -40,7 +40,7 @@ from .metrics import _fold_mean, summarize_runs
 from .online import LabeledTrial, LoopConfig, _feature_matrix, run_replicated
 # preprocess is not called here (the feature stack is online._feature_matrix) but
 # stays importable as grid.preprocess: the benchmark's tracer patches it there.
-from .signal import PreprocessConfig, _check_count, preprocess
+from .signal import PreprocessConfig, _check_count, _check_real, preprocess
 
 __all__ = ["GridSpec", "GridRow", "static_grid", "online_grid"]
 
@@ -69,8 +69,8 @@ class GridSpec:
         for k in self.k_values:
             for l_value in self.l_values:
                 min_agreeing_count(k, l_value)  # validates k and l_value
-        if any(not 0.0 < f <= 1.0 for f in self.train_fractions):
-            raise ValueError("train fractions must lie in (0, 1]")
+        for fraction in self.train_fractions:
+            _check_real(fraction, "train_fraction", 0, 1, "(]")
         for axis in dataclasses.fields(self):
             values = getattr(self, axis.name)
             if len(set(values)) != len(values):

@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .online import RecordColumns, RunReport, TrialRecord
-from .signal import _check_count
+from .signal import _check_count, _check_real
 
 __all__ = [
     "ConfusionMode",
@@ -67,10 +67,8 @@ class TimeModel:
     verification_cost: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.iteration_cost <= 0 or self.verification_cost <= 0:
-            raise ValueError("costs must be positive")
-        if self.verification_cost > self.iteration_cost:
-            raise ValueError("verification_cost cannot exceed iteration_cost")
+        _check_real(self.iteration_cost, "iteration_cost", 0, np.inf, "()")
+        _check_real(self.verification_cost, "verification_cost", 0, self.iteration_cost, "(]")
 
 
 def _ratio(num: float, den: float) -> float | None:

@@ -24,7 +24,8 @@ import numpy as np
 # through this module, and bench/spans.py patches all three here.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
 from .classifier import _count_nearest, _distance_matrix, _vote
-from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _check_count, _features, preprocess
+from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _check_count, _check_real
+from .signal import _features, preprocess
 
 __all__ = [
     "LabeledTrial",
@@ -107,8 +108,7 @@ class LoopConfig:
         min_agreeing_count(self.k, self.l_value)  # validates k and l_value
         _check_count(self.retrain_interval, "retrain_interval")
         _check_count(self.seed_size, "seed_size", self.k)
-        if not 0.0 < self.seed_min_positive_fraction <= 1.0:
-            raise ValueError("seed_min_positive_fraction must lie in (0, 1]")
+        _check_real(self.seed_min_positive_fraction, "seed_min_positive_fraction", 0, 1, "(]")
 
 
 # Phase codes of RecordColumns.phase: code i is _PHASES[i].

@@ -45,6 +45,15 @@ def _check_count(value, name: str, floor: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
+def _check_real(value, name: str, low=-np.inf, high=np.inf, ends: str = "()") -> None:
+    """ValueError naming ``name`` unless ``value`` lies in ``low``..``high``, which ``ends``
+    brackets as printed: ``[``/``]`` closed, ``(``/``)`` open, as an infinite end must be."""
+    if not (low < value < high or value == low and ends[0] == "["
+            or value == high and ends[1] == "]"):
+        raise ValueError(f"{name} must be a finite number in {ends[0]}{low}, {high}{ends[1]}, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ForceTrace:
     """Fixed-rate z-axis force recording of one insertion trial.
@@ -58,8 +67,7 @@ class ForceTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", _as_finite_1d(self.samples, "trace"))
-        if not 0 < self.sample_rate < np.inf:
-            raise ValueError("sample_rate must be positive and finite")
+        _check_real(self.sample_rate, "sample_rate", 0, np.inf, "()")
 
     def __len__(self) -> int:
         return int(self.samples.size)

@@ -209,8 +209,45 @@ class TestGen:
         code = main(["gen", "--out", str(out), "--n-pos", "2", "--n-neg", "2",
                      "--sample-rate", rate])
         assert code == EXIT_USAGE
-        assert "sample_rate must be positive and finite" in capsys.readouterr().err
+        assert "sample_rate must be a finite number in (0, inf)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("size", [["--n-pos", "5", "--n-neg", "5"], []], ids=["10", "704"])
+    @pytest.mark.parametrize(
+        "flag, value", [("noise-std", "nan"), ("outlier-scale", "nan"), ("outlier-scale", "inf")]
+    )
+    def test_non_finite_generator_setting_is_usage_error(self, tmp_path, capsys, size, flag, value):
+        out = tmp_path / "data.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["gen", "--out", str(out), *size, f"--{flag}", value])
+        assert code == EXIT_USAGE
+        message = f"error: {flag.replace('-', '_')} must be a finite number in "
+        assert message in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "size", [["--n-pos", "5", "--n-neg", "5", "--outlier-prob", "0.5"], []], ids=["10", "704"]
+    )
+    def test_overflowing_trace_names_its_trial_without_numpy_warnings(self, tmp_path, capsys, size):
+        out = tmp_path / "data.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["gen", "--out", str(out), *size, "--outlier-scale", "1e308"])
+        assert code == EXIT_USAGE
+        assert re.search(r"^error: trial-\d{4}: trace contains non-finite values; the settings "
+                         r"overflow the float range$", capsys.readouterr().err, re.MULTILINE)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_a_tiny_sample_rate_writes_a_finite_file_without_numpy_warnings(self, tmp_path):
+        # 1e-320 Hz overflows every sample time past the first, which the template's clip absorbs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path = run_gen(tmp_path, n_pos=5, n_neg=5, extra=["--sample-rate", "1e-320"])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert [t.trace.sample_rate for t in read_dataset(path)] == [1e-320] * 10
 
     def test_generator_knobs_reach_params(self, tmp_path):
         quiet = run_gen(tmp_path, "q.csv", 2, 2, ["--noise-std", "0", "--n-samples", "64"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from forceknn.datagen import (
     gen_trial,
     profile_template,
 )
+from forceknn.datagen import _interleaved_labels
 from forceknn.signal import preprocess
 
 
@@ -93,6 +95,20 @@ class TestGenTrial:
             2.0 * params.positive.peak_force_mean
         )
 
+    def test_an_overflowing_trace_names_its_trial_without_numpy_warnings(self):
+        # finite settings: an outlier peak of 1e308 x 22 N overflows, and the template
+        # multiplies it by zero before contact
+        params = GenParams(outlier_probability=0.999999, outlier_scale=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^o: trace contains non-finite values; the settings overflow the float range$"
+            with pytest.raises(ValueError, match=message):
+                gen_trial(Label.POSITIVE, params, np.random.default_rng(1), "o")
+            # 1e-320 Hz overflows every sample time past the first, which the clip absorbs
+            tiny_rate = gen_trial(Label.NEGATIVE, GenParams(sample_rate=1e-320),
+                                  np.random.default_rng(1))
+        assert np.all(np.isfinite(tiny_rate.trace.samples))
+
 
 class TestGenParamsValidation:
     def test_rejects_bad_values(self):
@@ -111,7 +127,7 @@ class TestGenParamsValidation:
 
     @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -1.0])
     def test_sample_rate_must_be_positive_and_finite(self, rate):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"^sample_rate must be a finite number in \(0, inf\)"):
             GenParams(sample_rate=rate)
 
     def test_separability_guard_with_escape_hatch(self):
@@ -139,6 +155,19 @@ class TestGenDataset:
             block = labels[start : start + 100]
             n_pos = sum(1 for label in block if label is Label.POSITIVE)
             assert 35 <= n_pos <= 50
+
+    def test_interleaving_formula_matches_a_running_count(self):
+        def counted(n_pos, n_neg):  # a positive label wherever the running share steps up
+            labels, placed, total = [], 0, n_pos + n_neg
+            for i in range(total):
+                positive = (i + 1) * n_pos // total > placed
+                placed += positive
+                labels.append(Label.POSITIVE if positive else Label.NEGATIVE)
+            return labels
+
+        for n_pos, n_neg in [*np.ndindex(60, 60), (297, 407)]:
+            assert _interleaved_labels(n_pos, n_neg) == counted(n_pos, n_neg)
+        assert _interleaved_labels(np.int64(3), np.int64(4)) == counted(3, 4)
 
     def test_same_seed_is_bitwise_identical(self):
         first = gen_dataset(10, 10, rng_seed=9)
