@@ -324,10 +324,6 @@ class KnnModel:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def dataset(self) -> tuple[tuple[FeatureVector, Label], ...]:
-        return self._entries
-
     def __repr__(self) -> str:
         return (
             f"KnnModel(n={len(self)}, k={self.k}, metric={self.metric}, "

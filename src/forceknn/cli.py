@@ -76,7 +76,8 @@ _GEN_OPTIONS = {
     "n_samples": _Option(int, _GEN.n_samples, "samples per trace"),
     "sample_rate": _Option(float, _GEN.sample_rate, "sample rate in Hz"),
     "noise_std": _Option(float, _GEN.noise_std, "standard deviation of the noise in N"),
-    "outlier_prob": _Option(float, _GEN.outlier_probability, "chance of an amplified-peak trial"),
+    "outlier_probability": _Option(float, _GEN.outlier_probability,
+                                   "chance of an amplified-peak trial"),
     "outlier_scale": _Option(float, _GEN.outlier_scale, "peak factor of an outlier trial"),
 }
 
@@ -213,15 +214,14 @@ def _single(values: list, what: str):
     return values[0]
 
 
+def _from_options(cls: type, opts: dict) -> Any:
+    """An instance of the dataclass ``cls`` built from the options named as its fields."""
+    return cls(**{f.name: opts[f.name] for f in dataclasses.fields(cls) if f.name in opts})
+
+
 def _cmd_gen(args: argparse.Namespace) -> Callable[[], None]:
     opts = _resolve(args, _GEN_OPTIONS)
-    params = GenParams(
-        n_samples=opts["n_samples"],
-        sample_rate=opts["sample_rate"],
-        noise_std=opts["noise_std"],
-        outlier_probability=opts["outlier_prob"],
-        outlier_scale=opts["outlier_scale"],
-    )
+    params = _from_options(GenParams, opts)
     trials = gen_dataset(opts["n_pos"], opts["n_neg"], params, opts["rng_seed"])
 
     def work() -> None:
@@ -238,7 +238,7 @@ def _cmd_gen(args: argparse.Namespace) -> Callable[[], None]:
 
 
 def _preprocess_config(opts: dict) -> PreprocessConfig:
-    return PreprocessConfig(**{f.name: opts[f.name] for f in dataclasses.fields(PreprocessConfig)})
+    return _from_options(PreprocessConfig, opts)
 
 
 def _loop_config(opts: dict, k: int, metric: Metric, l_value: float) -> LoopConfig:

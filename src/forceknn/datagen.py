@@ -76,8 +76,9 @@ class GenParams:
         _check_count(self.n_samples, "n_samples")
         for names, low, high, ends in (
             (("sample_rate", "ramp_duration", "relax_duration"), 0, math.inf, "()"),
-            (("contact_time_mean", "contact_time_jitter", "noise_std", "min_separation_stds"),
-             0, math.inf, "[)"),
+            (("contact_time_mean", "noise_std", "min_separation_stds"), 0, math.inf, "[)"),
+            # rng.uniform(-jitter, jitter) overflows past half the largest float
+            (("contact_time_jitter",), 0, np.finfo(float).max / 2, "[]"),
             (("outlier_probability",), 0, 1, "[)"),
             (("outlier_scale",), 1, math.inf, "[)"),
         ):

@@ -1,9 +1,8 @@
-"""Confusion accounting, precision/recall, window series and the cycle-time model."""
+"""Confusion accounting, precision/recall, windowed sums and the cycle-time model."""
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -12,34 +11,17 @@ from .online import RecordColumns, RunReport, TrialRecord
 from .signal import _check_count, _check_real
 
 __all__ = [
-    "ConfusionMode",
     "ConfusionCounts",
     "TimeModel",
-    "WindowPoint",
     "WindowCost",
     "SummaryRow",
     "confusion",
     "precision",
     "recall",
-    "sliding_window_series",
     "cycle_time",
-    "cycle_time_total",
     "verification_savings",
     "summarize_runs",
 ]
-
-
-class ConfusionMode(Enum):
-    """What counts as a prediction when tallying records.
-
-    CLASSIFIER_ONLY scores only trials the classifier actually answered;
-    seed and fallback trials land in the ``uncertain`` bucket. END_TO_END
-    scores the final label of every trial (oracle-resolved ones are correct
-    by construction).
-    """
-
-    CLASSIFIER_ONLY = "classifier_only"
-    END_TO_END = "end_to_end"
 
 
 @dataclass(frozen=True)
@@ -97,18 +79,17 @@ def _fold_mean(values, defined=None) -> tuple:
     return np.where(counts > 0, total / np.maximum(counts, 1), None).tolist(), counts.tolist()
 
 
-def confusion(
-    records: Sequence[TrialRecord],
-    mode: ConfusionMode = ConfusionMode.CLASSIFIER_ONLY,
-) -> ConfusionCounts:
-    """Tally records into confusion cells against ground truth."""
+def confusion(records: Sequence[TrialRecord]) -> ConfusionCounts:
+    """Tally the trials the classifier answered into confusion cells against ground truth.
+
+    Seed and fallback trials, whose labels came from the oracle, count as ``uncertain``.
+    """
     if not records:
         raise ValueError("no records to tally")
     columns = RecordColumns.of(records)
     # Cell codes: 0 tn, 1 fn, 2 fp, 3 tp (2 * predicted + truth), 4 uncertain.
     cells = 2 * columns.predicted + columns.truth
-    if mode is ConfusionMode.CLASSIFIER_ONLY:
-        cells[columns.verified] = 4
+    cells[columns.verified] = 4
     tn, fn, fp, tp, uncertain = np.bincount(cells, minlength=5).tolist()
     return ConfusionCounts(tp, fp, tn, fn, uncertain)
 
@@ -119,12 +100,6 @@ def precision(counts: ConfusionCounts) -> float | None:
 
 def recall(counts: ConfusionCounts) -> float | None:
     return _ratio(counts.tp, counts.tp + counts.fn)
-
-
-class WindowPoint(NamedTuple):
-    index: int
-    precision: float | None
-    uncertain_fraction: float
 
 
 class WindowCost(NamedTuple):
@@ -158,25 +133,6 @@ def _costs(records: Sequence[TrialRecord], tm: TimeModel) -> np.ndarray:
     return np.where(verified, tm.iteration_cost, tm.iteration_cost - tm.verification_cost)
 
 
-def sliding_window_series(
-    records: Sequence[TrialRecord], window: int = 100
-) -> list[WindowPoint]:
-    """Classifier precision and verified fraction over each trailing window.
-
-    Point ``index`` covers ``records[index - window + 1 .. index]``; streams
-    shorter than the window yield an empty series.
-    """
-    tp, fp, ver = _window_counts(records, window)
-    return [
-        WindowPoint(
-            index=window - 1 + j,
-            precision=_ratio(int(tp[j]), int(tp[j] + fp[j])),
-            uncertain_fraction=int(ver[j]) / window,
-        )
-        for j in range(len(tp))
-    ]
-
-
 def cycle_time(
     records: Sequence[TrialRecord],
     tm: TimeModel = TimeModel(),
@@ -191,11 +147,6 @@ def cycle_time(
     sums = _window_sums(costs, window)
     series = [WindowCost(window - 1 + j, float(s) / window) for j, s in enumerate(sums)]
     return float(costs.sum()), series
-
-
-def cycle_time_total(n_records: float, n_verified: float, tm: TimeModel = TimeModel()) -> float:
-    """Closed-form stream cost; accepts fractional run-averaged counts."""
-    return n_records * tm.iteration_cost - (n_records - n_verified) * tm.verification_cost
 
 
 def verification_savings(n_records: float, n_verified: float, tm: TimeModel = TimeModel()) -> float:
@@ -231,14 +182,11 @@ class SummaryRow:
     pooled_recall: float | None
 
 
-def summarize_runs(
-    reports: Sequence[RunReport],
-    mode: ConfusionMode = ConfusionMode.CLASSIFIER_ONLY,
-) -> SummaryRow:
+def summarize_runs(reports: Sequence[RunReport]) -> SummaryRow:
     """Average per-run statistics over replicated runs, in run order."""
     if not reports:
         raise ValueError("no reports to summarize")
-    counts = np.array([astuple(confusion(report.records, mode)) for report in reports])
+    counts = np.array([astuple(confusion(report.records)) for report in reports])
     tp, fp, _, fn, _ = counts.T
     (mean_tp, mean_fp, mean_tn, mean_fn, mean_uncertain), _ = _fold_mean(counts)
     (n_records, dataset_size, verifications), _ = _fold_mean(

@@ -124,7 +124,7 @@ def test_package_reexports_each_modules_all():
         "forceknn." + name
         for name in ("classifier", "datagen", "dataset_io", "grid", "metrics", "online", "signal")
     ]
-    assert {"RecordColumns", "WindowPoint", "WindowCost"} <= set(forceknn.__all__)
+    assert {"RecordColumns", "WindowCost"} <= set(forceknn.__all__)
 
 
 def test_benchmark_tracer_finds_every_patch_target():
@@ -256,6 +256,23 @@ class TestGen:
         noisy_heads = [t.trace.samples[:8].std() for t in read_dataset(noisy)]
         assert max(quiet_heads) < min(noisy_heads)
 
+
+    def test_outlier_probability_is_one_key_for_flag_config_and_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["gen", "--out", str(out), "--outlier-prob", "1"]) == EXIT_USAGE
+        assert "error: outlier_probability must be a finite number in [0, 1), got 1.0" in (
+            capsys.readouterr().err
+        )
+        config = tmp_path / "gen.cfg"
+        config.write_text("outlier_probability = 0.5\n", encoding="utf-8")
+        from_config = run_gen(tmp_path, "c.csv", 5, 5, ["--config", str(config)])
+        from_flag = run_gen(tmp_path, "f.csv", 5, 5, ["--outlier-probability", "0.5"])
+        default = run_gen(tmp_path, "d.csv", 5, 5)
+        assert from_config.read_bytes() == from_flag.read_bytes() != default.read_bytes()
+        config.write_text("outlier_prob = 0.5\n", encoding="utf-8")
+        assert main(["gen", "--out", str(out), "--config", str(config)]) == EXIT_USAGE
+        assert f"{config}:1: unknown config key 'outlier_prob'" in capsys.readouterr().err
+        assert not out.exists()
 
 @pytest.fixture()
 def dataset(tmp_path):

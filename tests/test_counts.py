@@ -13,7 +13,7 @@ import pytest
 from forceknn.classifier import COSINE
 from forceknn.datagen import GenParams, gen_dataset
 from forceknn.grid import GridSpec, online_grid, static_grid
-from forceknn.metrics import cycle_time, sliding_window_series
+from forceknn.metrics import cycle_time
 from forceknn.online import LoopConfig, run_replicated
 from forceknn.reports import aggregate_window_series
 from forceknn.signal import PreprocessConfig, downsample_mean, preprocess, savgol_smooth
@@ -71,8 +71,6 @@ ENTRY_POINTS = {
     "gen_dataset.n_pos": ("n_pos", 3, 2.5, lambda v: _gen(n_pos=v)),
     "gen_dataset.rng_seed": ("rng_seed", 0, np.float64(0.0), lambda v: _gen(rng_seed=v)),
     "static_grid.seeds": ("seeds", 0, 0.5, lambda v: static_grid(TRIALS, SMALL_GRID, seeds=(v,))),
-    "sliding_window_series.window": (
-        "window", 100, 10.0, lambda v: sliding_window_series(RECORDS, v)),
     "cycle_time.window": ("window", 100, 10.0, lambda v: cycle_time(RECORDS, window=v)),
     "aggregate_window_series.window": (
         "window", 100, np.float64(10.0), lambda v: aggregate_window_series(REPORTS, window=v)),

@@ -1,4 +1,4 @@
-"""Confusion tallies, ratios, window series and cycle-time arithmetic."""
+"""Confusion tallies, ratios, run summaries and cycle-time arithmetic."""
 
 from __future__ import annotations
 
@@ -12,19 +12,17 @@ from hypothesis import strategies as st
 from forceknn.classifier import Decision, Label
 from forceknn.metrics import (
     ConfusionCounts,
-    ConfusionMode,
     TimeModel,
     _fold_mean,
     confusion,
     cycle_time,
-    cycle_time_total,
     precision,
     recall,
-    sliding_window_series,
     summarize_runs,
     verification_savings,
 )
 from forceknn.online import LoopConfig, Phase, RecordColumns, RunReport, TrialRecord
+from forceknn.reports import aggregate_window_series
 
 
 def left_fold(values):
@@ -52,10 +50,10 @@ def random_records(rng, n):
     return out
 
 
-def tally_oracle(records, mode):
+def tally_oracle(records):
     tp = fp = tn = fn = unc = 0
     for r in records:
-        if mode is ConfusionMode.CLASSIFIER_ONLY and r.phase is not Phase.CLASSIFIED:
+        if r.phase is not Phase.CLASSIFIED:
             unc += 1
         elif r.predicted is Label.POSITIVE and r.truth is Label.POSITIVE:
             tp += 1
@@ -95,24 +93,14 @@ class TestConfusion:
         counts = confusion(records)
         assert (counts.tp, counts.fp, counts.tn, counts.fn, counts.uncertain) == (1, 1, 1, 1, 0)
 
-    @pytest.mark.parametrize("mode", list(ConfusionMode))
-    def test_matches_tally_oracle(self, mode):
+    def test_matches_tally_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             records = random_records(rng, int(rng.integers(1, 60)))
-            counts = confusion(records, mode)
+            counts = confusion(records)
             assert (counts.tp, counts.fp, counts.tn, counts.fn, counts.uncertain) == tally_oracle(
-                records, mode
+                records
             )
-
-    def test_end_to_end_scores_fallbacks_as_correct(self):
-        records = [
-            record(Label.POSITIVE, Label.POSITIVE, Phase.FALLBACK, 0),
-            record(Label.NEGATIVE, Label.NEGATIVE, Phase.SEED, 1),
-            record(Label.NEGATIVE, Label.POSITIVE, Phase.CLASSIFIED, 2),
-        ]
-        counts = confusion(records, ConfusionMode.END_TO_END)
-        assert (counts.tp, counts.fp, counts.tn, counts.fn, counts.uncertain) == (1, 0, 1, 1, 0)
 
     def test_cell_conservation(self):
         rng = np.random.default_rng(3)
@@ -158,44 +146,6 @@ class TestPrecisionRecall:
         assert abs(pooled - 0.9772) > 1e-4
 
 
-class TestSlidingWindowSeries:
-    def test_hundred_correct_classified_records(self):
-        records = [record(Label.POSITIVE, Label.POSITIVE, index=i) for i in range(100)]
-        series = sliding_window_series(records, 100)
-        assert len(series) == 1
-        assert series[0].index == 99
-        assert series[0].precision == 1.0
-        assert series[0].uncertain_fraction == 0.0
-
-    def test_hundred_verified_records(self):
-        records = [record(Label.NEGATIVE, Label.NEGATIVE, Phase.FALLBACK, i) for i in range(100)]
-        series = sliding_window_series(records, 100)
-        assert len(series) == 1
-        assert series[0].precision is None
-        assert series[0].uncertain_fraction == 1.0
-
-    def test_short_stream_gives_empty_series(self):
-        records = [record(Label.POSITIVE, Label.POSITIVE)]
-        assert sliding_window_series(records, 100) == []
-
-    def test_matches_per_window_recomputation(self):
-        rng = np.random.default_rng(7)
-        records = random_records(rng, 150)
-        for window in (1, 5, 50):
-            series = sliding_window_series(records, window)
-            assert len(series) == 150 - window + 1
-            for point in series:
-                chunk = records[point.index - window + 1 : point.index + 1]
-                counts = confusion(chunk)
-                assert point.precision == precision(counts)
-                expected_unc = sum(1 for r in chunk if r.verified) / window
-                assert point.uncertain_fraction == pytest.approx(expected_unc)
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sliding_window_series([record(Label.POSITIVE, Label.POSITIVE)], 0)
-
-
 class TestCycleTime:
     def test_no_verifications(self):
         records = [record(Label.POSITIVE, Label.POSITIVE, index=i) for i in range(12)]
@@ -226,7 +176,6 @@ class TestCycleTime:
 
     def test_closed_form_with_fractional_means(self):
         tm = TimeModel(45.0, 5.0)
-        assert cycle_time_total(704, 401.7, tm) == pytest.approx(704 * 45 - (704 - 401.7) * 5)
         assert verification_savings(704, 401.7, tm) == pytest.approx(1511.5)
 
     def test_time_model_validation(self):
@@ -286,7 +235,7 @@ class TestSummarizeRuns:
         rng = np.random.default_rng(13)
         reports = [report_from_records(random_records(rng, 40)) for _ in range(30)]
         row = summarize_runs(reports)
-        per_run = [tally_oracle(r.records, ConfusionMode.CLASSIFIER_ONLY) for r in reports]
+        per_run = [tally_oracle(r.records) for r in reports]
         assert row.mean_tp == left_fold(t[0] for t in per_run) / 30
         assert row.mean_fp == left_fold(t[1] for t in per_run) / 30
         assert row.mean_tn == left_fold(t[2] for t in per_run) / 30
@@ -347,18 +296,17 @@ class TestColumnsMatchRecordTuples:
         for records in runs:
             columns = RecordColumns.of(records)
             assert columns == records
-            for mode in ConfusionMode:
-                counts = confusion(columns, mode)
-                assert counts == confusion(records, mode)
-                assert dataclasses.astuple(counts) == tally_oracle(records, mode)
-            assert sliding_window_series(columns, window) == sliding_window_series(
-                records, window
-            )
+            counts = confusion(columns)
+            assert counts == confusion(records)
+            assert dataclasses.astuple(counts) == tally_oracle(records)
             assert cycle_time(columns, tm, window) == cycle_time(records, tm, window)
         from_tuples = [report_from_records(records, l_value) for records in runs]
         from_columns = [
             dataclasses.replace(report, records=RecordColumns.of(records))
             for report, records in zip(from_tuples, runs)
         ]
-        for mode in ConfusionMode:
-            assert summarize_runs(from_columns, mode) == summarize_runs(from_tuples, mode)
+        assert summarize_runs(from_columns) == summarize_runs(from_tuples)
+        for report_of_columns, report_of_tuples in zip(from_columns, from_tuples):
+            assert aggregate_window_series([report_of_columns], tm, window) == (
+                aggregate_window_series([report_of_tuples], tm, window)
+            )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from forceknn.classifier import Metric, min_agreeing_count
-from forceknn.datagen import ClassProfile, GenParams
+from forceknn.datagen import ClassProfile, GenParams, gen_dataset
 from forceknn.dataset_io import write_dataset
 from forceknn.grid import GridSpec
 from forceknn.metrics import TimeModel
@@ -23,7 +23,7 @@ PROFILE = {"peak_force_mean": 22.0, "peak_force_std": 2.0,
 GEN_FIELDS = {
     "sample_rate": "(0, inf)",
     "contact_time_mean": "[0, inf)",
-    "contact_time_jitter": "[0, inf)",
+    "contact_time_jitter": "[0, 8.988465674311579e+307]",
     "ramp_duration": "(0, inf)",
     "relax_duration": "(0, inf)",
     "noise_std": "[0, inf)",
@@ -111,3 +111,11 @@ def test_one_wording():
 def test_a_missing_minkowski_exponent_keeps_its_message():
     with pytest.raises(ValueError, match="^minkowski requires an explicit finite exponent p > 0$"):
         Metric("minkowski")
+
+
+def test_a_contact_jitter_whose_draw_would_overflow_is_rejected():
+    # rng.uniform(-j, j) spans 2j, which overflows past half the largest float
+    with pytest.raises(ValueError, match=r"^contact_time_jitter must be a finite number in \[0, "):
+        GenParams(contact_time_jitter=1e308)
+    trials = gen_dataset(2, 2, GenParams(contact_time_jitter=np.finfo(float).max / 2))
+    assert all(np.isfinite(t.trace.samples).all() for t in trials)

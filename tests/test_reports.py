@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from forceknn.datagen import gen_dataset
-from forceknn.metrics import TimeModel, cycle_time, sliding_window_series, summarize_runs
+from forceknn.metrics import TimeModel, confusion, precision, summarize_runs
 from forceknn.classifier import COSINE, Label
 from forceknn.online import (
     LabeledTrial,
@@ -28,6 +28,21 @@ from forceknn.reports import (
 )
 
 
+def left_fold(values):
+    """Plain left-to-right float sum: the reference order for run means."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def report_of(phase, n=4):
+    """A run of ``n`` correct positive records, all in ``phase``."""
+    records = tuple(TrialRecord(f"t{i}", Label.POSITIVE, Label.POSITIVE, phase) for i in range(n))
+    verified = n if phase is not Phase.CLASSIFIED else 0
+    return RunReport(records, verified, LoopConfig(), rng_seed=0, oracle_calls=verified)
+
+
 @pytest.fixture(scope="module")
 def reports():
     trials = gen_dataset(20, 25, rng_seed=5)
@@ -35,27 +50,44 @@ def reports():
 
 
 class TestAggregateWindowSeries:
-    def test_matches_per_run_series(self, reports):
-        tm = TimeModel()
-        window = 10
-        aggregates = aggregate_window_series(reports, tm, window)
-        per_run_points = [sliding_window_series(r.records, window) for r in reports]
-        per_run_costs = [cycle_time(r.records, tm, window)[1] for r in reports]
-        assert len(aggregates) == len(per_run_points[0])
-        for j, agg in enumerate(aggregates):
-            assert agg.index == per_run_points[0][j].index
-            uncs = [points[j].uncertain_fraction for points in per_run_points]
-            assert agg.mean_uncertain_fraction == pytest.approx(sum(uncs) / len(uncs))
-            costs = [costs[j].mean_cost for costs in per_run_costs]
-            assert agg.mean_cycle_cost == pytest.approx(sum(costs) / len(costs))
-            defined = [
-                p[j].precision for p in per_run_points if p[j].precision is not None
-            ]
-            if defined:
-                assert agg.mean_precision == pytest.approx(sum(defined) / len(defined))
+    def test_matches_per_window_recomputation(self, reports):
+        # each run's window slice, tallied record by record; means fold runs left to right
+        tm = TimeModel(45.0, 5.0)
+        for window in (1, 10):
+            aggregates = aggregate_window_series(reports, tm, window)
+            assert len(aggregates) == len(reports[0].records) - window + 1
+            for agg in aggregates:
+                chunks = [
+                    list(r.records)[agg.index - window + 1 : agg.index + 1] for r in reports
+                ]
+                defined = [p for p in (precision(confusion(c)) for c in chunks) if p is not None]
                 assert agg.precision_defined_runs == len(defined)
-            else:
-                assert agg.mean_precision is None
+                assert agg.mean_precision == (
+                    left_fold(defined) / len(defined) if defined else None
+                )
+                verified = [sum(r.verified for r in chunk) for chunk in chunks]
+                assert agg.mean_uncertain_fraction == left_fold(
+                    v / window for v in verified
+                ) / len(reports)
+                assert agg.mean_cycle_cost == left_fold(
+                    (window * 40.0 + 5.0 * v) / window for v in verified
+                ) / len(reports)
+
+    def test_a_window_of_verified_trials_has_no_precision(self):
+        verified_only = report_of(Phase.FALLBACK)
+        (agg,) = aggregate_window_series([verified_only, verified_only], window=4)
+        assert (agg.index, agg.mean_precision, agg.precision_defined_runs) == (3, None, 0)
+        assert (agg.mean_uncertain_fraction, agg.mean_cycle_cost) == (1.0, 45.0)
+
+    def test_a_window_of_correct_classified_trials_has_full_precision(self):
+        classified_only = report_of(Phase.CLASSIFIED)
+        (agg,) = aggregate_window_series([classified_only, classified_only], window=4)
+        assert (agg.index, agg.mean_precision, agg.precision_defined_runs) == (3, 1.0, 2)
+        assert (agg.mean_uncertain_fraction, agg.mean_cycle_cost) == (0.0, 40.0)
+
+    def test_window_must_be_positive(self, reports):
+        with pytest.raises(ValueError, match="^window must be an integer >= 1, got 0$"):
+            aggregate_window_series(reports, window=0)
 
     def test_empty_when_stream_shorter_than_window(self, reports):
         assert aggregate_window_series(reports, window=10_000) == []
