@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from forceknn.classifier import COSINE
+from forceknn.classifier import COSINE, min_agreeing_count
 from forceknn.datagen import GenParams, gen_dataset
 from forceknn.grid import GridSpec, online_grid, static_grid
 from forceknn.metrics import cycle_time
@@ -69,7 +69,10 @@ ENTRY_POINTS = {
     "GenParams.n_samples": (
         "n_samples", 1000, 1000.0, lambda v: _gen(params=GenParams(n_samples=v))),
     "gen_dataset.n_pos": ("n_pos", 3, 2.5, lambda v: _gen(n_pos=v)),
+    "gen_dataset.n_neg": (
+        "n_neg", 1, 1.0, lambda v: _trials(gen_dataset(1, v, GenParams(n_samples=50)))),
     "gen_dataset.rng_seed": ("rng_seed", 0, np.float64(0.0), lambda v: _gen(rng_seed=v)),
+    "min_agreeing_count.k": ("k", 11, 11.0, lambda v: min_agreeing_count(v, 90.0)),
     "static_grid.seeds": ("seeds", 0, 0.5, lambda v: static_grid(TRIALS, SMALL_GRID, seeds=(v,))),
     "cycle_time.window": ("window", 100, 10.0, lambda v: cycle_time(RECORDS, window=v)),
     "aggregate_window_series.window": (

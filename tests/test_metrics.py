@@ -83,6 +83,17 @@ class TestConfusion:
         assert (counts.tp, counts.fp, counts.tn, counts.fn) == (0, 0, 0, 0)
         assert counts.uncertain == 7
 
+    def test_seed_and_fallback_trials_are_uncertain_whatever_their_labels(self):
+        records = [
+            record(predicted, truth, phase)
+            for phase in (Phase.SEED, Phase.FALLBACK)
+            for predicted in Label
+            for truth in Label
+        ]
+        records.append(record(Label.POSITIVE, Label.POSITIVE))
+        counts = confusion(records)
+        assert (counts.tp, counts.fp, counts.tn, counts.fn, counts.uncertain) == (1, 0, 0, 0, 8)
+
     def test_one_record_per_cell(self):
         records = [
             record(Label.POSITIVE, Label.POSITIVE, index=0),

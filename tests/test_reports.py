@@ -85,6 +85,12 @@ class TestAggregateWindowSeries:
         assert (agg.index, agg.mean_precision, agg.precision_defined_runs) == (3, 1.0, 2)
         assert (agg.mean_uncertain_fraction, agg.mean_cycle_cost) == (0.0, 40.0)
 
+    def test_precision_averages_only_the_runs_that_define_it(self):
+        runs = [report_of(Phase.FALLBACK), report_of(Phase.CLASSIFIED)]
+        (agg,) = aggregate_window_series(runs, window=4)
+        assert (agg.mean_precision, agg.precision_defined_runs) == (1.0, 1)
+        assert (agg.mean_uncertain_fraction, agg.mean_cycle_cost) == (0.5, 42.5)
+
     def test_window_must_be_positive(self, reports):
         with pytest.raises(ValueError, match="^window must be an integer >= 1, got 0$"):
             aggregate_window_series(reports, window=0)
