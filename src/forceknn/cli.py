@@ -83,9 +83,9 @@ _GEN_OPTIONS = {
 
 _LOOP_OPTIONS = {
     "rng_seed": _Option(int, 0, "base seed of the runs' shuffles"),
-    "k": _Option(_int_list, (_LOOP.k,), "comma-separated k values"),
-    "metric": _Option(_metric_list, (_LOOP.metric,),
-                      "comma-separated: cosine, euclidean, manhattan, minkowski[:p]"),
+    "k": _Option(int, _LOOP.k, "neighbours that vote"),
+    "metric": _Option(Metric.parse, _LOOP.metric,
+                      "cosine, euclidean, manhattan or minkowski[:p]"),
     "l_value": _Option(_float_list, (100.0, 50.0),
                        "comma-separated minimum-agreement percentages in [50, 100]"),
     "retrain_interval": _Option(int, _LOOP.retrain_interval, "trials between snapshot refreshes"),
@@ -101,8 +101,9 @@ _GRID_OPTIONS = {
     **_LOOP_OPTIONS,
     "rng_seed": _Option(int, 0, "base seed of the runs' shuffles (online mode), "
                                 "first split seed (static mode)"),
-    "k": _LOOP_OPTIONS["k"]._replace(default=_GRID.k_values),
-    "metric": _LOOP_OPTIONS["metric"]._replace(default=_GRID.metrics),
+    "k": _Option(_int_list, _GRID.k_values, "comma-separated k values"),
+    "metric": _Option(_metric_list, _GRID.metrics,
+                      "comma-separated: cosine, euclidean, manhattan, minkowski[:p]"),
     "l_value": _LOOP_OPTIONS["l_value"]._replace(default=_GRID.l_values),
     "train_fraction": _Option(_float_list, _GRID.train_fractions,
                               "comma-separated fractions in (0, 1]"),
@@ -208,12 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single(values: list, what: str):
-    if len(values) != 1:
-        raise ValueError(f"expected exactly one {what}, got {values!r}")
-    return values[0]
-
-
 def _from_options(cls: type, opts: dict) -> Any:
     """An instance of the dataclass ``cls`` built from the options named as its fields."""
     return cls(**{f.name: opts[f.name] for f in dataclasses.fields(cls) if f.name in opts})
@@ -237,19 +232,10 @@ def _cmd_gen(args: argparse.Namespace) -> Callable[[], None]:
     return work
 
 
-def _preprocess_config(opts: dict) -> PreprocessConfig:
-    return _from_options(PreprocessConfig, opts)
-
-
-def _loop_config(opts: dict, k: int, metric: Metric, l_value: float) -> LoopConfig:
-    return LoopConfig(
-        k=k,
-        metric=metric,
-        l_value=l_value,
-        retrain_interval=opts["retrain_interval"],
-        seed_size=opts["seed_size"],
-        preprocess=_preprocess_config(opts),
-    )
+def _loop_config(opts: dict, **cell) -> LoopConfig:
+    """The options' ``LoopConfig``; the fields in ``cell`` override the options."""
+    preprocess = _from_options(PreprocessConfig, opts)
+    return _from_options(LoopConfig, {**opts, "preprocess": preprocess, **cell})
 
 
 def _echo_pairs(opts: dict, dataset: str, extra: dict) -> dict:
@@ -258,14 +244,12 @@ def _echo_pairs(opts: dict, dataset: str, extra: dict) -> dict:
 
 def _cmd_online(args: argparse.Namespace) -> Callable[[], None]:
     opts = _resolve(args, _LOOP_OPTIONS)
-    k = _single(opts["k"], "k value")
-    metric = _single(opts["metric"], "metric")
     if not opts["l_value"]:
         raise ValueError("expected at least one l-value, got none")
     records_names = [f"records-l{l_value:g}.jsonl" for l_value in opts["l_value"]]
     if len(set(records_names)) != len(records_names):
         raise ValueError(f"l-values {opts['l_value']} would share a records file name")
-    configs = [_loop_config(opts, k, metric, l_value) for l_value in opts["l_value"]]
+    configs = [_loop_config(opts, l_value=l_value) for l_value in opts["l_value"]]
     _check_runs(opts["runs"], opts["rng_seed"])
 
     def work() -> None:
@@ -311,9 +295,8 @@ def _cmd_grid(args: argparse.Namespace) -> Callable[[], None]:
     _check_count(opts["static_seeds"], "static_seeds")
     if args.mode == "static":
         seeds = [opts["rng_seed"] + i for i in range(opts["static_seeds"])]
-        sweep = functools.partial(
-            static_grid, grid=grid, preprocess_cfg=_preprocess_config(opts), seeds=seeds
-        )
+        sweep = functools.partial(static_grid, grid=grid, seeds=seeds,
+                                  preprocess_cfg=_from_options(PreprocessConfig, opts))
     else:
         # k=1 satisfies any seed_size; online_grid swaps in each cell's k.
         base_cfg = _loop_config(opts, k=1, metric=grid.metrics[0], l_value=grid.l_values[0])

@@ -12,7 +12,6 @@ classifications between refreshes deliberately use a stale snapshot.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,7 +23,7 @@ import numpy as np
 # through this module, and bench/spans.py patches all three here.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
 from .classifier import _count_nearest, _distance_matrix, _vote
-from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _check_count, _check_real
+from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _check_count
 from .signal import _features, preprocess
 
 __all__ = [
@@ -92,8 +91,8 @@ class LoopConfig:
     ``l_value`` is the minimum-agreement percentage of the voting rule;
     ``retrain_interval`` counts post-seed trials between snapshot refreshes;
     ``seed_size`` is the minimum number of oracle-labelled samples collected
-    before classification starts, of which at least
-    ``ceil(seed_size * seed_min_positive_fraction)`` must be positive.
+    before classification starts, of which at least half, rounded up, must
+    be positive.
     """
 
     k: int = 11
@@ -101,14 +100,12 @@ class LoopConfig:
     l_value: float = 100.0
     retrain_interval: int = 20
     seed_size: int = 22
-    seed_min_positive_fraction: float = 0.5
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
 
     def __post_init__(self) -> None:
         min_agreeing_count(self.k, self.l_value)  # validates k and l_value
         _check_count(self.retrain_interval, "retrain_interval")
         _check_count(self.seed_size, "seed_size", self.k)
-        _check_real(self.seed_min_positive_fraction, "seed_min_positive_fraction", 0, 1, "(]")
 
 
 # Phase codes of RecordColumns.phase: code i is _PHASES[i].
@@ -311,7 +308,7 @@ def run_online(
 
     # Seed phase: oracle-label from the stream head until both the size and
     # the positive quota are met; a shortfall of positives extends the phase.
-    met = np.cumsum(positive) >= math.ceil(cfg.seed_size * cfg.seed_min_positive_fraction)
+    met = np.cumsum(positive) >= -(-cfg.seed_size // 2)  # at least half, rounded up
     met[: cfg.seed_size - 1] = False  # fewer than seed_size samples
     if not met.any():
         raise ValueError("stream exhausted before the seed phase completed")

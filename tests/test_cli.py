@@ -21,11 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import forceknn
-from forceknn import online
-from forceknn.classifier import Label
+from forceknn import cli, online
+from forceknn.classifier import EUCLIDEAN, MANHATTAN, Label
 from forceknn.cli import _GRID_UNREAD, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from forceknn.dataset_io import read_dataset, write_dataset
-from forceknn.signal import ForceTrace
+from forceknn.online import LoopConfig
+from forceknn.signal import ForceTrace, PreprocessConfig
 
 # Run in a fresh interpreter: every top-level module that gen and online load beyond
 # those loaded at start-up. numpy's Cython extensions register the two runtime modules
@@ -494,6 +495,69 @@ def test_rejected_setting_exits_2_before_reading(tmp_path, monkeypatch, capsys, 
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, value", [("--k", "5,11"), ("--metric", "cosine,euclidean")])
+def test_online_refuses_a_list_of_k_or_metric_before_reading(tmp_path, monkeypatch, capsys,
+                                                             flag, value):
+    # online runs one k and one metric: argparse rejects a list, after printing its usage line
+    monkeypatch.chdir(tmp_path)
+    # the dataset does not exist: reading it first would exit with EXIT_DATA
+    assert main(["online", "--out", "out", "--dataset", "missing.csv", flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: argument {flag}: invalid" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+# Non-default loop and preprocessing settings, and the preprocessing config they make.
+PREPROCESS_SETTINGS = {"sg_window": 9, "sg_order": 3, "ds_window": 5, "ds_stride": 4}
+LOOP_SETTINGS = {"retrain_interval": 7, "seed_size": 13, **PREPROCESS_SETTINGS}
+PREPROCESS = PreprocessConfig(**PREPROCESS_SETTINGS)
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+class TestSettingsReachTheirConfigs:
+    """Each setting, given as a flag or as a config key, lands in the config that the
+    command hands to the library call it runs."""
+
+    @staticmethod
+    def calls(tmp_path, dataset, via, target, argv, settings):
+        if via == "flag":
+            given = [arg for key, value in settings.items()
+                     for arg in (f"--{key.replace('_', '-')}", str(value))]
+        else:
+            config = tmp_path / "settings.cfg"
+            config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()),
+                              encoding="utf-8")
+            given = ["--config", str(config)]
+        with mock.patch.object(cli, target, wraps=getattr(cli, target)) as spy:
+            assert main([*argv, "--dataset", str(dataset), *given]) == EXIT_OK
+        return spy.call_args_list
+
+    def test_online_loop_configs(self, tmp_path, dataset, via):
+        argv = ["online", "--out", str(tmp_path / "out"), "--runs", "2"]
+        settings = {"k": 5, "metric": "euclidean", **LOOP_SETTINGS}
+        calls = self.calls(tmp_path, dataset, via, "run_replicated", argv, settings)
+        assert [call.args[1] for call in calls] == [
+            LoopConfig(k=5, metric=EUCLIDEAN, l_value=l_value, retrain_interval=7,
+                       seed_size=13, preprocess=PREPROCESS)
+            for l_value in (100.0, 50.0)
+        ]
+
+    def test_online_grid_base_config(self, tmp_path, dataset, via):
+        argv = ["grid", "--mode", "online", "--out", str(tmp_path / "grid.csv"), "--runs", "2",
+                "--k", "5", "--metric", "manhattan", "--l-value", "50"]
+        [call] = self.calls(tmp_path, dataset, via, "online_grid", argv, LOOP_SETTINGS)
+        assert call.kwargs["base_cfg"] == LoopConfig(
+            k=1, metric=MANHATTAN, l_value=50.0, retrain_interval=7, seed_size=13,
+            preprocess=PREPROCESS,
+        )
+
+    def test_static_grid_preprocessing(self, tmp_path, dataset, via):
+        argv = ["grid", "--out", str(tmp_path / "grid.csv"), "--k", "5", "--metric", "cosine",
+                "--l-value", "100", "--train-fraction", "1", "--static-seeds", "1"]
+        [call] = self.calls(tmp_path, dataset, via, "static_grid", argv, PREPROCESS_SETTINGS)
+        assert call.kwargs["preprocess_cfg"] == PREPROCESS
+
+
 class TestGrid:
     def test_single_cell_static_csv(self, tmp_path, dataset):
         out = tmp_path / "grid.csv"
@@ -645,15 +709,20 @@ class TestConfigFileAndExitCodes:
         assert code == EXIT_USAGE
         assert f"{config}:1: unknown config key '{key}'" in capsys.readouterr().err
 
-    def test_bad_config_value_is_usage_error_naming_its_line(self, tmp_path, capsys):
+    # online runs one k and one metric, so a list of either is a bad value too
+    @pytest.mark.parametrize(
+        "key, value", [("k", "x"), ("k", "5,11"), ("metric", "cosine,euclidean")]
+    )
+    def test_bad_config_value_is_usage_error_naming_its_line(self, tmp_path, capsys, key, value):
         config = tmp_path / "bad.cfg"
-        config.write_text("# loop settings\nruns = 2\nk = x\n", encoding="utf-8")
+        config.write_text(f"# loop settings\nruns = 2\n{key} = {value}\n", encoding="utf-8")
         out = tmp_path / "out"
         # the dataset does not exist: reading it first would exit with EXIT_DATA
         code = main(["online", "--dataset", str(tmp_path / "missing.csv"), "--out", str(out),
                      "--config", str(config)])
         assert code == EXIT_USAGE
-        assert f"error: {config}:3: bad config value for k: 'x'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {config}:3: bad config value for {key}: {value!r}" in err
         assert not out.exists()
 
     def test_malformed_config_line_is_usage_error(self, tmp_path, dataset):

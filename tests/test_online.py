@@ -51,7 +51,7 @@ def reference_run(trials, cfg: LoopConfig):
     records = []
     dataset = []
     oracle_calls = 0
-    quota = math.ceil(cfg.seed_size * cfg.seed_min_positive_fraction)
+    quota = math.ceil(cfg.seed_size * 0.5)  # at least half positive
     n_pos = 0
     position = 0
     while position < len(trials) and (len(dataset) < cfg.seed_size or n_pos < quota):
@@ -92,10 +92,6 @@ class TestLoopConfig:
             LoopConfig(l_value=45.0)
         with pytest.raises(ValueError):
             LoopConfig(retrain_interval=0)
-        with pytest.raises(ValueError):
-            LoopConfig(seed_min_positive_fraction=0.0)
-        with pytest.raises(ValueError):
-            LoopConfig(seed_min_positive_fraction=1.5)
 
 
 class TestSeedPhase:
@@ -218,7 +214,6 @@ class TestRunOnline:
             metric=EUCLIDEAN,
             l_value=100.0,
             seed_size=2,
-            seed_min_positive_fraction=0.5,
             retrain_interval=3,
             preprocess=PreprocessConfig(sg_window=1, sg_order=0, ds_window=1, ds_stride=1),
         )

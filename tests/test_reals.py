@@ -15,7 +15,6 @@ from forceknn.datagen import ClassProfile, GenParams, gen_dataset
 from forceknn.dataset_io import write_dataset
 from forceknn.grid import GridSpec
 from forceknn.metrics import TimeModel
-from forceknn.online import LoopConfig
 from forceknn.signal import ForceTrace
 
 PROFILE = {"peak_force_mean": 22.0, "peak_force_std": 2.0,
@@ -37,9 +36,6 @@ FIELDS = {
     "ForceTrace.sample_rate": ("sample_rate", "(0, inf)", lambda v: ForceTrace(np.ones(4), v)),
     "Metric.p": ("minkowski p", "(0, inf)", lambda v: Metric("minkowski", v)),
     "min_agreeing_count.l_value": ("l_value", "[50, 100]", lambda v: min_agreeing_count(11, v)),
-    "LoopConfig.seed_min_positive_fraction": (
-        "seed_min_positive_fraction", "(0, 1]",
-        lambda v: LoopConfig(seed_min_positive_fraction=v)),
     "GridSpec.train_fractions": (
         "train_fraction", "(0, 1]", lambda v: GridSpec(train_fractions=(0.5, v))),
     **{
