@@ -49,6 +49,17 @@ class Label(Enum):
     NEGATIVE = "negative"
 
 
+_LABELS = (Label.NEGATIVE, Label.POSITIVE)  # indexed by a positive flag: the rule's inverse
+
+
+def _is_positive(label: Label, trial_id: str | None = None) -> bool:
+    """The label rule: ``label``'s positive flag; ValueError naming any value that is no Label."""
+    if isinstance(label, Label):
+        return label is Label.POSITIVE
+    where = "" if trial_id is None else f"trial {trial_id}: "
+    raise ValueError(f"{where}expected a Label, got {label!r}")
+
+
 class Decision(Enum):
     """Three-way classifier verdict; UNCERTAIN means the vote abstained."""
 
@@ -59,11 +70,6 @@ class Decision(Enum):
     @classmethod
     def from_label(cls, label: Label) -> "Decision":
         return cls(label.value)
-
-    def to_label(self) -> Label:
-        if self is Decision.UNCERTAIN:
-            raise ValueError("an uncertain decision carries no label")
-        return Label(self.value)
 
 
 @dataclass(frozen=True)
@@ -313,16 +319,14 @@ class KnnModel:
         self.k = int(k)
         self.metric = metric
         self.l_value = float(l_value)
-        self._entries = entries
-        self._dim = dims.pop() if dims else None
         self._matrix = np.stack([f.values for f, _ in entries]) if entries else np.empty((0, 0))
         with np.errstate(over="ignore"):  # an overflowing norm raises at each query
             self._norms = _reference_norms(self._matrix)[0] if metric.kind == "cosine" else None
         self._overflows = self._norms is not None and not np.isfinite(self._norms).all()
-        self._is_pos = np.array([label is Label.POSITIVE for _, label in entries], dtype=bool)
+        self._is_pos = np.array([_is_positive(label) for _, label in entries], dtype=bool)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._is_pos)
 
     def __repr__(self) -> str:
         return (
@@ -338,8 +342,8 @@ def _query_distances(model: KnnModel, query: FeatureVector) -> np.ndarray | None
     if len(model) < model.k:
         raise ValueError(f"dataset holds {len(model)} entries but k={model.k}")
     q = query.values
-    if q.size != model._dim:
-        raise ValueError(f"dimension mismatch: query {q.size}, dataset {model._dim}")
+    if q.size != model._matrix.shape[1]:
+        raise ValueError(f"dimension mismatch: query {q.size}, dataset {model._matrix.shape[1]}")
     distances = _batch_distances(model._matrix, model._norms, q, model.metric)
     if model._overflows or (model._norms is None and not np.isfinite(distances).all()):
         raise ValueError(f"{model.metric} {_OVERFLOW}")
@@ -356,7 +360,8 @@ def nearest_labels(model: KnnModel, query: FeatureVector) -> list[Label]:
     dists = _query_distances(model, query)
     if dists is None:
         raise ValueError("cosine distance is undefined for a zero-norm query")
-    return [model._entries[i][1] for i in np.argsort(dists, kind="stable")[: model.k]]
+    nearest = model._is_pos[np.argsort(dists, kind="stable")[: model.k]]
+    return [_LABELS[flag] for flag in nearest.tolist()]
 
 
 def decide(neighbor_labels: Sequence[Label], k: int, l_value: float) -> Decision:
@@ -373,7 +378,7 @@ def decide(neighbor_labels: Sequence[Label], k: int, l_value: float) -> Decision
     threshold = min_agreeing_count(k, l_value)
     if len(labels) != k:
         raise ValueError(f"expected exactly k={k} neighbor labels, got {len(labels)}")
-    n_pos = sum(1 for label in labels if label is Label.POSITIVE)
+    n_pos = sum(map(_is_positive, labels))
     return _decision(n_pos, k, threshold)
 
 

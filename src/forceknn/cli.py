@@ -43,16 +43,17 @@ EXIT_DATA = 3
 EXIT_CONFIG = 4
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _comma_list(convert: Callable[[str], Any]) -> Callable[[str], list]:
+    """A converter of comma-separated values: ``convert`` takes each non-blank part."""
+    return lambda text: [convert(part) for part in text.split(",") if part.strip()]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _metric_list(text: str) -> list[Metric]:
-    return [Metric.parse(part) for part in text.split(",") if part.strip()]
+def _flag_value(convert: Callable[[str], Any], text: str) -> Any:
+    """``convert(text)``; argparse prints a ValueError's own message, not the converter's name."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 class _Option(NamedTuple):
@@ -86,7 +87,7 @@ _LOOP_OPTIONS = {
     "k": _Option(int, _LOOP.k, "neighbours that vote"),
     "metric": _Option(Metric.parse, _LOOP.metric,
                       "cosine, euclidean, manhattan or minkowski[:p]"),
-    "l_value": _Option(_float_list, (100.0, 50.0),
+    "l_value": _Option(_comma_list(float), (100.0, 50.0),
                        "comma-separated minimum-agreement percentages in [50, 100]"),
     "retrain_interval": _Option(int, _LOOP.retrain_interval, "trials between snapshot refreshes"),
     "seed_size": _Option(int, _LOOP.seed_size, "oracle-labelled trials before classifying"),
@@ -101,11 +102,11 @@ _GRID_OPTIONS = {
     **_LOOP_OPTIONS,
     "rng_seed": _Option(int, 0, "base seed of the runs' shuffles (online mode), "
                                 "first split seed (static mode)"),
-    "k": _Option(_int_list, _GRID.k_values, "comma-separated k values"),
-    "metric": _Option(_metric_list, _GRID.metrics,
+    "k": _Option(_comma_list(int), _GRID.k_values, "comma-separated k values"),
+    "metric": _Option(_comma_list(Metric.parse), _GRID.metrics,
                       "comma-separated: cosine, euclidean, manhattan, minkowski[:p]"),
     "l_value": _LOOP_OPTIONS["l_value"]._replace(default=_GRID.l_values),
-    "train_fraction": _Option(_float_list, _GRID.train_fractions,
+    "train_fraction": _Option(_comma_list(float), _GRID.train_fractions,
                               "comma-separated fractions in (0, 1]"),
     "static_seeds": _Option(int, 5, "number of split seeds to average"),
 }
@@ -127,7 +128,7 @@ def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -
     for key, option in options.items():
         parser.add_argument(
             "--" + key.replace("_", "-"),
-            type=option.convert,
+            type=functools.partial(_flag_value, option.convert),
             help=f"{option.help} (default {_fmt(option.default)})",
         )
 
@@ -152,8 +153,10 @@ def _load_config(path: str, options: dict[str, _Option], unread: dict[str, str])
             raise ValueError(f"{path}:{line_no}: config key {key!r} {unread[key]}")
         try:
             values[key] = options[key].convert(value)
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: bad config value for {key}: {value!r}") from None
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{line_no}: bad config value for {key}: {value!r}: {exc}"
+            ) from None
     return values
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import Label
+from .classifier import _LABELS, Label, _is_positive
 from .online import LabeledTrial
 from .signal import ForceTrace, _check_count, _check_real
 
@@ -94,9 +94,6 @@ class GenParams:
                     "lower min_separation_stds for overlapping classes"
                 )
 
-    def profile(self, label: Label) -> ClassProfile:
-        return self.positive if label is Label.POSITIVE else self.negative
-
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * (3.0 - 2.0 * u)
@@ -134,10 +131,10 @@ def gen_trial(
     """Draw one synthetic trial of the given class.
 
     Draw order is fixed (contact jitter, peak, plateau, outlier, noise), so a
-    seeded generator reproduces the trace exactly. A trace that overflows the
-    float range raises ``ValueError`` naming the trial, without numpy warnings.
+    seeded generator reproduces the trace exactly. A ``label`` that is not a ``Label``, or
+    a trace that overflows the float range, raises ``ValueError`` naming the trial.
     """
-    profile = params.profile(label)
+    profile = params.positive if _is_positive(label, trial_id) else params.negative
     contact = params.contact_time_mean + rng.uniform(
         -params.contact_time_jitter, params.contact_time_jitter
     )
@@ -164,10 +161,7 @@ def gen_trial(
 def _interleaved_labels(n_pos: int, n_neg: int) -> list[Label]:
     """Evenly spread n_pos positive labels through a stream of n_pos + n_neg."""
     total = n_pos + n_neg
-    return [
-        Label.POSITIVE if (i + 1) * n_pos // total > i * n_pos // total else Label.NEGATIVE
-        for i in range(total)
-    ]
+    return [_LABELS[(i + 1) * n_pos // total - i * n_pos // total] for i in range(total)]
 
 
 def gen_dataset(

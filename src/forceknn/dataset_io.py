@@ -16,14 +16,14 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .classifier import Label
+from .classifier import _LABELS, _is_positive
 from .online import LabeledTrial
 from .signal import ForceTrace, _check_count, _check_real
 
 __all__ = ["DatasetFormatError", "write_dataset", "read_dataset"]
 
-_LABEL_TO_TEXT = {Label.POSITIVE: "pos", Label.NEGATIVE: "neg"}
-_TEXT_TO_LABEL = {text: label for label, text in _LABEL_TO_TEXT.items()}
+_LABEL_TEXTS = ("neg", "pos")  # indexed by a positive flag, as classifier._LABELS
+_TEXT_TO_LABEL = dict(zip(_LABEL_TEXTS, _LABELS))
 
 
 class DatasetFormatError(ValueError):
@@ -70,15 +70,16 @@ def write_dataset(
 ) -> None:
     """Write trials to ``path``; refuses to replace an existing file unless asked.
 
-    All trials must share one trace length and sample rate, and no id may
-    repeat or hold a comma or a line break, which ``read_dataset`` would
-    split on: each is rejected before the file is opened. For an empty
-    dataset the header metadata comes from ``n_samples``/``sample_rate``.
+    All trials must share one trace length and sample rate, every truth must be a
+    ``Label``, and no id may repeat or hold a comma or a line break, which
+    ``read_dataset`` would split on: each is rejected before the file is opened.
+    For an empty dataset the header metadata comes from ``n_samples``/``sample_rate``.
     """
     path = Path(path)
     if path.exists() and not overwrite:
         raise FileExistsError(f"{path} already exists; pass overwrite/--force to replace it")
     trials = list(trials)
+    positive = [_is_positive(trial.truth, trial.id) for trial in trials]
     if trials:
         n_samples = len(trials[0].trace)
         sample_rate = trials[0].trace.sample_rate
@@ -97,9 +98,9 @@ def write_dataset(
 
     def lines() -> Iterator[str]:
         yield f"id,label,{int(n_samples)},{float(sample_rate)!r}\n"
-        for trial in trials:
+        for trial, flag in zip(trials, positive):
             values = ",".join(repr(float(v)) for v in trial.trace.samples)
-            yield f"{trial.id},{_LABEL_TO_TEXT[trial.truth]},{values}\n"
+            yield f"{trial.id},{_LABEL_TEXTS[flag]},{values}\n"
 
     _write_text_atomic(path, lines())
 

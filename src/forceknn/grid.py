@@ -29,9 +29,9 @@ from .classifier import (
     COSINE,
     EUCLIDEAN,
     MANHATTAN,
-    Label,
     Metric,
     _distance_matrix,
+    _is_positive,
     _vote,
     min_agreeing_count,
     minkowski,
@@ -183,8 +183,8 @@ def static_grid(
     tested[np.concatenate([order[pool_size:] for order in orders])] = True
     first = np.concatenate((np.flatnonzero(tested), np.flatnonzero(~tested)))
     column = np.argsort(first)  # trial t's column, and a tested trial's row, in each matrix
+    is_pos = np.array([_is_positive(trials[t].truth, trials[t].id) for t in first])
     features = _feature_matrix(trials, preprocess_cfg)[first]
-    is_pos = np.array([trials[t].truth is Label.POSITIVE for t in first])
 
     # N_c per (k, l-value): one vote decides every (k, l-value) of a fraction.
     thresholds = np.array(

@@ -22,7 +22,7 @@ import numpy as np
 # KnnModel, classify and preprocess are unused here: bench/child.py calls them
 # through this module, and bench/spans.py patches all three here.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
-from .classifier import _count_nearest, _distance_matrix, _vote
+from .classifier import _LABELS, _count_nearest, _distance_matrix, _is_positive, _vote
 from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _check_count
 from .signal import _features, preprocess
 
@@ -111,7 +111,6 @@ class LoopConfig:
 # Phase codes of RecordColumns.phase: code i is _PHASES[i].
 _PHASES = (Phase.SEED, Phase.CLASSIFIED, Phase.FALLBACK)
 _SEED, _CLASSIFIED, _FALLBACK = range(3)
-_LABELS = (Label.NEGATIVE, Label.POSITIVE)  # indexed by a positive flag
 
 
 class RecordColumns(Sequence):
@@ -145,8 +144,8 @@ class RecordColumns(Sequence):
         return cls(
             [r.trial_id for r in records],
             [_PHASES.index(r.phase) for r in records],
-            [_LABELS.index(r.predicted) for r in records],
-            [_LABELS.index(r.truth) for r in records],
+            [_is_positive(r.predicted, r.trial_id) for r in records],
+            [_is_positive(r.truth, r.trial_id) for r in records],
         )
 
     @property
@@ -252,7 +251,7 @@ def _rows(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
     if -1 in rows:
         del distances  # free a stale entry's matrix before the new one is built
         row_of = {trial: i for i, trial in enumerate(trials)}  # two datasets may share ids
-        truth = np.array([trial.truth is Label.POSITIVE for trial in trials])
+        truth = np.array([_is_positive(trial.truth, trial.id) for trial in trials])
         distances, answered = _distance_matrix(_feature_matrix(trials, cfg.preprocess), cfg.metric)
         rows = np.arange(len(trials))
     cache[key] = row_of, truth, distances, answered
@@ -269,16 +268,16 @@ def run_online(
     """Replay the self-supervised loop over ``trials`` in stream order.
 
     The loop itself is deterministic; ``rng_seed`` is only echoed into the
-    report (it identifies the shuffle that produced the stream order).
-    The snapshot is the dataset's feature rows and positive flags, in
-    insertion order, frozen between refreshes. A block of
-    ``retrain_interval`` queries without a fallback leaves the next block
-    the same snapshot, so each step votes a window of blocks at once, by
-    ``_count_nearest`` over rows of the distance matrix and a table of the
-    vote's verdict per positive count. A step commits up to the end of its
-    first block with a fallback, or its whole window if none has one; the
-    window doubles after a step without a fallback and falls back to one
-    block after a step with one. Each trial's flat offset into the matrix
+    report (it identifies the shuffle that produced the stream order). The
+    dataset is the verified (seed and fallback) trials so far, and the
+    snapshot their rows and positive flags in stream order, frozen between
+    refreshes. A block of ``retrain_interval`` queries without a fallback
+    leaves the next block the same snapshot, so each step votes a window of
+    blocks at once, by ``_count_nearest`` over rows of the distance matrix and
+    a table of the vote's verdict per positive count. A step commits up to the
+    end of its first block with a fallback, or its whole window if none has
+    one; the window doubles after a step without a fallback and falls back to
+    one block after a step with one. Each trial's flat offset into the matrix
     and its zero-norm flag are looked up once per run; a step stores its
     counts and fallback flags by slice, and the phases and predictions are
     read off them once, after the last step.
@@ -289,8 +288,9 @@ def run_online(
     trials, and across l-values and k. Past 1 GiB (n > 11585) the run
     raises ValueError before any trial is preprocessed.
 
-    Raises ValueError if the stream is no longer than the seed phase, lacks
-    one of the classes, or is exhausted before the seed quota is met.
+    Raises ValueError if a trial's truth is not a ``Label``, or if the stream
+    is no longer than the seed phase, lacks one of the classes, or is
+    exhausted before the seed quota is met.
     """
     trials = list(trials)
     if len(trials) <= cfg.seed_size:
@@ -312,10 +312,7 @@ def run_online(
     met[: cfg.seed_size - 1] = False  # fewer than seed_size samples
     if not met.any():
         raise ValueError("stream exhausted before the seed phase completed")
-    size = start = int(met.argmax()) + 1
-    # The dataset is the first size entries, rows and positive flags in insertion order:
-    # the oracle labels each seed and fallback trial, and only those trials join.
-    dataset, dataset_pos = rows.copy(), positive.copy()
+    seed_end = start = int(met.argmax()) + 1
     offsets = rows * len(distances)  # each stream trial's row in the flat matrix
     unanswered = ~answered[rows]
     verified = np.ones(len(trials), dtype=bool)  # seed and fallback trials
@@ -324,14 +321,14 @@ def run_online(
     # The vote's verdict for each count of positive neighbours, 0 to k.
     pos_of, neg_of = _vote(np.arange(cfg.k + 1), cfg.k, min_agreeing_count(cfg.k, cfg.l_value))
     undecided = ~(pos_of | neg_of)
-    # Each block sees the snapshot taken at its start. The seed phase holds at
-    # least seed_size >= k entries, so every snapshot has k neighbours to rank.
-    seed_end = start
+    # Each block sees the snapshot taken at its start: the verified trials before it. The
+    # seed phase holds seed_size >= k of them, so every snapshot has k neighbours to rank.
     interval = window = cfg.retrain_interval
     while start < len(trials):
+        snapshot = np.flatnonzero(verified[:start])
         # One gather by flat index: no (window, n) copy of whole rows on the way.
-        dists = distances.take(offsets[start : start + window, np.newaxis] + dataset[:size])
-        counts = _count_nearest(dists, dataset_pos[:size], cfg.k)
+        dists = distances.take(offsets[start : start + window, np.newaxis] + rows[snapshot])
+        counts = _count_nearest(dists, positive[snapshot], cfg.k)
         fallback = undecided[counts] | unanswered[start : start + window]
         if fallback.any():  # the snapshot changes after this fallback's block
             end = (int(fallback.argmax()) // interval + 1) * interval
@@ -340,13 +337,11 @@ def run_online(
             window *= 2
         block = slice(start, start + len(fallback))
         n_pos[block], verified[block] = counts, fallback
-        joined = slice(size, size + int(np.count_nonzero(fallback)))
-        dataset[joined], dataset_pos[joined] = rows[block][fallback], positive[block][fallback]
-        size, start = joined.stop, block.stop
+        start = block.stop
     phase = np.where(verified, _FALLBACK, _CLASSIFIED)
     phase[:seed_end] = _SEED
     predicted = np.where(verified, positive, pos_of[n_pos])
-
+    size = int(np.count_nonzero(verified))  # the final dataset: every verified trial
     return RunReport(
         records=RecordColumns(ids, phase, predicted, positive),
         final_dataset_size=size,

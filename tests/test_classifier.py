@@ -516,7 +516,5 @@ class TestClassify:
 
 class TestDecisionLabelConversion:
     def test_round_trip(self):
-        assert Decision.from_label(Label.POSITIVE) is Decision.POSITIVE
-        assert Decision.NEGATIVE.to_label() is Label.NEGATIVE
-        with pytest.raises(ValueError):
-            Decision.UNCERTAIN.to_label()
+        for label in Label:
+            assert Label(Decision.from_label(label).value) is label

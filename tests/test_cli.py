@@ -495,16 +495,48 @@ def test_rejected_setting_exits_2_before_reading(tmp_path, monkeypatch, capsys, 
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag, value", [("--k", "5,11"), ("--metric", "cosine,euclidean")])
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--k", "5,11", "invalid literal for int() with base 10: '5,11'"),
+    ("--metric", "cosine,euclidean", "unknown metric 'cosine,euclidean'"),
+], ids=["--k-5,11", "--metric-cosine,euclidean"])
 def test_online_refuses_a_list_of_k_or_metric_before_reading(tmp_path, monkeypatch, capsys,
-                                                             flag, value):
-    # online runs one k and one metric: argparse rejects a list, after printing its usage line
+                                                             flag, value, reason):
+    # online runs one k and one metric: argparse rejects a list, after printing its usage line,
+    # with the converter's reason
     monkeypatch.chdir(tmp_path)
     # the dataset does not exist: reading it first would exit with EXIT_DATA
     assert main(["online", "--out", "out", "--dataset", "missing.csv", flag, value]) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.out == "" and f"error: argument {flag}: invalid" in captured.err
+    assert captured.out == "" and f"error: argument {flag}: {reason}\n" in captured.err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value, reason", [
+    ("grid", "k", "5,x", "invalid literal for int() with base 10: 'x'"),
+    ("grid", "l_value", "50,x", "could not convert string to float: 'x'"),
+    ("grid", "metric", "cosine,bogus", "unknown metric 'bogus'"),
+    ("online", "k", "x", "invalid literal for int() with base 10: 'x'"),
+    ("gen", "noise_std", "x", "could not convert string to float: 'x'"),
+    ("online", "metric", "bogus", "unknown metric 'bogus'"),
+], ids=["comma-int", "comma-float", "comma-metric", "int", "float", "metric"])
+def test_rejected_value_carries_its_converters_reason(tmp_path, monkeypatch, capsys,
+                                                      via, command, key, value, reason):
+    # a flag and a config line fail alike: exit 2 before reading, with the converter's message
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--out", "out"] + ([] if command == "gen" else ["--dataset", "missing.csv"])
+    if via == "flag":
+        argv += [f"--{key.replace('_', '-')}", value]
+        expected = f"error: argument --{key.replace('_', '-')}: {reason}\n"
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+        expected = f"error: {config}:1: bad config value for {key}: {value!r}: {reason}\n"
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and expected in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == (["bad.cfg"] if via == "config" else [])
 
 
 # Non-default loop and preprocessing settings, and the preprocessing config they make.

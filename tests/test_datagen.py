@@ -52,9 +52,9 @@ class TestProfileTemplate:
 class TestGenTrial:
     def test_noiseless_trial_is_exactly_the_template(self):
         params = noiseless_params()
-        for label in Label:
+        profiles = {Label.POSITIVE: params.positive, Label.NEGATIVE: params.negative}
+        for label, profile in profiles.items():
             trial = gen_trial(label, params, np.random.default_rng(0), "x")
-            profile = params.profile(label)
             expected = profile_template(
                 params.n_samples,
                 params.sample_rate,
@@ -78,8 +78,8 @@ class TestGenTrial:
         # outliers and noise off so the trace maximum equals the peak draw
         params = dataclasses.replace(GenParams(), noise_std=0.0, outlier_probability=0.0)
         rng = np.random.default_rng(123)
-        for label in Label:
-            profile = params.profile(label)
+        profiles = {Label.POSITIVE: params.positive, Label.NEGATIVE: params.negative}
+        for label, profile in profiles.items():
             peaks = [
                 gen_trial(label, params, rng, f"t{i}").trace.samples.max() for i in range(1000)
             ]

@@ -25,7 +25,7 @@ def reference_read_dataset(path):
     def fail(line_no, message):
         return DatasetFormatError(f"line {line_no}: {message}")
 
-    text_to_label = {"pos": Label.POSITIVE, "neg": Label.NEGATIVE}
+    label_of_text = {"pos": Label.POSITIVE, "neg": Label.NEGATIVE}
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = text.split("\n")
@@ -56,7 +56,7 @@ def reference_read_dataset(path):
         if trial_id in seen_ids:
             raise fail(offset, f"duplicate trial id {trial_id!r}")
         seen_ids.add(trial_id)
-        label = text_to_label.get(fields[1])
+        label = label_of_text.get(fields[1])
         if label is None:
             raise fail(offset, f"label must be 'pos' or 'neg', got {fields[1]!r}")
         try:

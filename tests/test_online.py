@@ -73,7 +73,7 @@ def reference_run(trials, cfg: LoopConfig):
             records.append(TrialRecord(trial.id, trial.truth, trial.truth, Phase.FALLBACK))
         else:
             records.append(
-                TrialRecord(trial.id, decision.to_label(), trial.truth, Phase.CLASSIFIED)
+                TrialRecord(trial.id, Label(decision.value), trial.truth, Phase.CLASSIFIED)
             )
         if step % cfg.retrain_interval == 0:
             model = KnnModel(dataset, cfg.k, cfg.metric, cfg.l_value)
