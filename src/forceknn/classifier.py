@@ -296,6 +296,13 @@ def _decision(n_pos: int, k: int, threshold: int) -> Decision:
     return Decision.POSITIVE if positive else Decision.NEGATIVE if negative else Decision.UNCERTAIN
 
 
+def _check_dimensions(dims: Iterable[int]) -> None:
+    """Raise ValueError unless every feature vector in a dataset has the same dimension."""
+    dims = set(dims)
+    if len(dims) > 1:
+        raise ValueError(f"feature vectors of mixed dimension: {sorted(dims)}")
+
+
 class KnnModel:
     """Immutable k-NN snapshot over a labelled feature dataset.
 
@@ -313,9 +320,7 @@ class KnnModel:
     ) -> None:
         entries = tuple(dataset)
         self._threshold = min_agreeing_count(k, l_value)
-        dims = {len(feature) for feature, _ in entries}
-        if len(dims) > 1:
-            raise ValueError(f"feature vectors of mixed dimension: {sorted(dims)}")
+        _check_dimensions(len(feature) for feature, _ in entries)
         self.k = int(k)
         self.metric = metric
         self.l_value = float(l_value)

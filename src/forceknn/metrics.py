@@ -79,6 +79,17 @@ def _fold_mean(values, defined=None) -> tuple:
     return np.where(counts > 0, total / np.maximum(counts, 1), None).tolist(), counts.tolist()
 
 
+_FP, _TP, _ORACLE = 2, 3, 4  # confusion cells, after 0 tn and 1 fn
+
+
+def _cells(records: Sequence[TrialRecord]) -> np.ndarray:
+    """Each record's confusion cell: 2 * predicted + truth, or 4 if the oracle labelled it."""
+    columns = RecordColumns.of(records)
+    cells = 2 * columns.predicted + columns.truth
+    cells[columns.verified] = _ORACLE
+    return cells
+
+
 def confusion(records: Sequence[TrialRecord]) -> ConfusionCounts:
     """Tally the trials the classifier answered into confusion cells against ground truth.
 
@@ -86,11 +97,7 @@ def confusion(records: Sequence[TrialRecord]) -> ConfusionCounts:
     """
     if not records:
         raise ValueError("no records to tally")
-    columns = RecordColumns.of(records)
-    # Cell codes: 0 tn, 1 fn, 2 fp, 3 tp (2 * predicted + truth), 4 uncertain.
-    cells = 2 * columns.predicted + columns.truth
-    cells[columns.verified] = 4
-    tn, fn, fp, tp, uncertain = np.bincount(cells, minlength=5).tolist()
+    tn, fn, fp, tp, uncertain = np.bincount(_cells(records), minlength=5).tolist()
     return ConfusionCounts(tp, fp, tn, fn, uncertain)
 
 
@@ -117,20 +124,14 @@ def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
     return cum[window:] - cum[:-window]
 
 
-def _window_counts(
-    records: Sequence[TrialRecord], window: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classifier true and false positives, and verified trials, per trailing window."""
-    columns = RecordColumns.of(records)
-    classified_pos = ~columns.verified & columns.predicted
-    tp = _window_sums(classified_pos & columns.truth, window)
-    fp = _window_sums(classified_pos & ~columns.truth, window)
-    return tp, fp, _window_sums(columns.verified, window)
+def _window_counts(cells: np.ndarray, window: int, tm: TimeModel) -> tuple[np.ndarray, ...]:
+    """Per trailing window: classifier true and all positives, verified trials and summed cost."""
+    tp, fp, verified = (_window_sums(cells == cell, window) for cell in (_TP, _FP, _ORACLE))
+    return tp, tp + fp, verified, _window_sums(_costs(cells, tm), window)
 
 
-def _costs(records: Sequence[TrialRecord], tm: TimeModel) -> np.ndarray:
-    verified = RecordColumns.of(records).verified
-    return np.where(verified, tm.iteration_cost, tm.iteration_cost - tm.verification_cost)
+def _costs(cells: np.ndarray, tm: TimeModel) -> np.ndarray:
+    return np.where(cells == _ORACLE, tm.iteration_cost, tm.iteration_cost - tm.verification_cost)
 
 
 def cycle_time(
@@ -143,7 +144,7 @@ def cycle_time(
     A verified trial costs the full iteration; skipping verification saves
     ``tm.verification_cost``.
     """
-    costs = _costs(records, tm)
+    costs = _costs(_cells(records), tm)
     sums = _window_sums(costs, window)
     series = [WindowCost(window - 1 + j, float(s) / window) for j, s in enumerate(sums)]
     return float(costs.sum()), series

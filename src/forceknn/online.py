@@ -22,7 +22,8 @@ import numpy as np
 # KnnModel, classify and preprocess are unused here: bench/child.py calls them
 # through this module, and bench/spans.py patches all three here.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
-from .classifier import _LABELS, _count_nearest, _distance_matrix, _is_positive, _vote
+from .classifier import _check_dimensions, _count_nearest, _distance_matrix, _is_positive
+from .classifier import _LABELS, _vote
 from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _check_count
 from .signal import _features, preprocess
 
@@ -58,6 +59,18 @@ class Phase(Enum):
     FALLBACK = "fallback"
 
 
+# Phase codes of RecordColumns.phase: code i is _PHASES[i].
+_PHASES = tuple(Phase)
+_SEED, _CLASSIFIED, _FALLBACK = range(3)
+
+
+def _phase_code(phase: Phase, trial_id: str) -> int:
+    """The phase rule: ``phase``'s code; ValueError naming its trial for a value that is no Phase."""
+    if isinstance(phase, Phase):
+        return _PHASES.index(phase)
+    raise ValueError(f"trial {trial_id}: expected a Phase, got {phase!r}")
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one processed trial.
@@ -65,7 +78,7 @@ class TrialRecord:
     ``decision`` and ``verified`` are derived from ``phase``: a classified
     trial carries the classifier's answer (``predicted``) and skipped
     verification; seed and fallback trials carry an uncertain decision and
-    were verified by the oracle.
+    were verified by the oracle. Both read ``phase`` and ``predicted`` through their rules.
     """
 
     trial_id: str
@@ -75,13 +88,13 @@ class TrialRecord:
 
     @property
     def verified(self) -> bool:
-        return self.phase is not Phase.CLASSIFIED
+        return _phase_code(self.phase, self.trial_id) != _CLASSIFIED
 
     @property
     def decision(self) -> Decision:
         if self.verified:
             return Decision.UNCERTAIN
-        return Decision.from_label(self.predicted)
+        return Decision.POSITIVE if _is_positive(self.predicted, self.trial_id) else Decision.NEGATIVE
 
 
 @dataclass(frozen=True)
@@ -106,11 +119,6 @@ class LoopConfig:
         min_agreeing_count(self.k, self.l_value)  # validates k and l_value
         _check_count(self.retrain_interval, "retrain_interval")
         _check_count(self.seed_size, "seed_size", self.k)
-
-
-# Phase codes of RecordColumns.phase: code i is _PHASES[i].
-_PHASES = (Phase.SEED, Phase.CLASSIFIED, Phase.FALLBACK)
-_SEED, _CLASSIFIED, _FALLBACK = range(3)
 
 
 class RecordColumns(Sequence):
@@ -143,7 +151,7 @@ class RecordColumns(Sequence):
             return records
         return cls(
             [r.trial_id for r in records],
-            [_PHASES.index(r.phase) for r in records],
+            [_phase_code(r.phase, r.trial_id) for r in records],
             [_is_positive(r.predicted, r.trial_id) for r in records],
             [_is_positive(r.truth, r.trial_id) for r in records],
         )
@@ -225,7 +233,8 @@ def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np
     Up to ``_STACK`` consecutive traces of one length pass through ``preprocess``'s kernel
     at once, under one ``np.errstate``, each row equal to ``preprocess``'s bit for bit.
     Raises ValueError before any trial is preprocessed when the trials' distance matrix
-    would pass ``_MATRIX_BYTES``, and for a trace too short for the windows. One scan of
+    would pass ``_MATRIX_BYTES``, for a trace too short for the windows, and, as
+    ``KnnModel`` does, for features of mixed dimension. One scan of
     the matrix then finds the first trial whose finite trace overflows: a
     ``TrialDataError`` names it, worded as ``preprocess`` words the overflow.
     """
@@ -234,10 +243,12 @@ def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np
         raise ValueError(f"{n} trials need a {8 * n * n}-byte distance matrix, over {_MATRIX_BYTES}")
     groups = [list(group) for _, group in itertools.groupby(trials, key=lambda t: len(t.trace))]
     with np.errstate(over="ignore", invalid="ignore"):
-        features = np.concatenate([
+        blocks = [
             _features(np.stack([trial.trace.samples for trial in group[i : i + _STACK]]), cfg)
             for group in groups for i in range(0, len(group), _STACK)
-        ])
+        ]
+    _check_dimensions(block.shape[1] for block in blocks)
+    features = np.concatenate(blocks)
     for trial in itertools.compress(trials, ~np.isfinite(features).all(axis=1)):
         raise TrialDataError(f"trial {trial.id}: {_OVERFLOW}")  # the first that overflows
     return features

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset_io import _write_text_atomic
 from .grid import GridRow
-from .metrics import SummaryRow, TimeModel, _costs, _fold_mean, _window_counts, _window_sums
+from .metrics import SummaryRow, TimeModel, _cells, _fold_mean, _window_counts
 from .online import RecordColumns, RunReport
 
 __all__ = [
@@ -66,10 +66,7 @@ def aggregate_window_series(
     such runs are excluded from that index's mean and counted. Every mean
     is a left fold over runs in run order (``metrics._fold_mean``).
     """
-    per_run = []
-    for report in reports:
-        tp, fp, ver = _window_counts(report.records, window)
-        per_run.append((tp, tp + fp, ver, _window_sums(_costs(report.records, tm), window)))
+    per_run = [_window_counts(_cells(report.records), window, tm) for report in reports]
     lengths = {len(tp) for tp, *_ in per_run}
     if len(lengths) > 1:
         raise ValueError("runs produced window series of different lengths")
@@ -109,15 +106,16 @@ def _write_csv(
     _write_text_atomic(path, (buf.getvalue(),))
 
 
-# A records line is head + JSON-quoted trial id + tail. The 12 kinds of record
-# are listed in the order of their code, 4 * phase + 2 * predicted + truth.
-_RECORD_HEAD = (
-    '{"decision": "%s", "phase": "%s", "predicted": "%s", "run": %d, "run_seed": %d, '
-    '"trial_id": '
-)
-_RECORD_TAIL = ', "truth": "%s", "verified": %s}\n'
+# A records line is head % (run, run_seed) + JSON-quoted trial id + tail. The 12 kinds
+# of record are listed in the order of their code, 4 * phase + 2 * predicted + truth.
 _CODES = np.arange(12)
-_KINDS = tuple(RecordColumns([""] * 12, _CODES // 4, _CODES // 2 % 2, _CODES % 2))
+_KINDS = RecordColumns([""] * 12, _CODES // 4, _CODES // 2 % 2, _CODES % 2)
+_HEADS = [
+    f'{{"decision": "{r.decision.value}", "phase": "{r.phase.value}", '
+    f'"predicted": "{r.predicted.value}", "run": %d, "run_seed": %d, "trial_id": '
+    for r in _KINDS
+]
+_TAILS = [f', "truth": "{r.truth.value}", "verified": {json.dumps(r.verified)}}}\n' for r in _KINDS]
 
 
 def write_records_jsonl(path: str | Path, reports: Sequence[RunReport]) -> None:
@@ -138,18 +136,12 @@ def write_records_jsonl(path: str | Path, reports: Sequence[RunReport]) -> None:
             columns = report.records
             new_ids = set(columns.ids).difference(quoted)
             quoted.update(zip(new_ids, map(json.dumps, new_ids)))
-            heads = [
-                _RECORD_HEAD % (
-                    r.decision.value, r.phase.value, r.predicted.value, run_index, report.rng_seed
-                )
-                for r in _KINDS
-            ]
-            tails = [_RECORD_TAIL % (r.truth.value, json.dumps(r.verified)) for r in _KINDS]
+            heads = [head % (run_index, report.rng_seed) for head in _HEADS]
             kinds = (4 * columns.phase + 2 * columns.predicted + columns.truth).tolist()
             yield "".join(chain.from_iterable(zip(
                 map(heads.__getitem__, kinds),
                 map(quoted.__getitem__, columns.ids),
-                map(tails.__getitem__, kinds),
+                map(_TAILS.__getitem__, kinds),
             )))
 
     _write_text_atomic(Path(path), runs())

@@ -1,7 +1,8 @@
-"""The label rule: every entry point that reads a label takes a ``Label`` and nothing else.
+"""The label and phase rules: every reader of a label or a record's phase takes its enum only.
 
 A value that is not a ``Label`` (the string ``"positive"``, say) raises ValueError naming
-it, and the trial that holds it where there is one, instead of counting as negative.
+it, and the trial that holds it where there is one, instead of counting as negative. A
+record's phase that is not a ``Phase`` raises ValueError naming it and its trial.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from forceknn.classifier import COSINE, KnnModel, Label, decide
 from forceknn.datagen import GenParams, gen_dataset, gen_trial
 from forceknn.dataset_io import write_dataset
 from forceknn.grid import GridSpec, static_grid
-from forceknn.online import LoopConfig, Phase, RunReport, TrialRecord, run_online
+from forceknn.metrics import confusion, cycle_time
+from forceknn.online import LoopConfig, Phase, RecordColumns, RunReport, TrialRecord, run_online
 from forceknn.signal import FeatureVector
 
 TRIALS = gen_dataset(12, 12, GenParams(n_samples=200), rng_seed=3)
@@ -49,6 +51,10 @@ ENTRY_POINTS = {
     "write_dataset": (f"trial {BAD_ID}: ", _write),
     "RunReport predicted": ("trial r1: ", _report("positive", Label.POSITIVE)),
     "RunReport truth": ("trial r1: ", _report(Label.POSITIVE, "positive")),
+    "TrialRecord.decision": (
+        "trial t2: ",
+        lambda _: TrialRecord("t2", "positive", Label.POSITIVE, Phase.CLASSIFIED).decision,
+    ),
     "gen_trial": (
         "trial t: ",
         lambda _: gen_trial("positive", GenParams(n_samples=50), np.random.default_rng(0), "t"),
@@ -62,3 +68,23 @@ def test_a_value_that_is_not_a_label_raises_value_error_naming_it(tmp_path, entr
     with pytest.raises(ValueError, match=rf"^{where}expected a Label, got 'positive'$"):
         call(tmp_path)
     assert not any(tmp_path.iterdir())  # write_dataset rejects the label before the file opens
+
+
+# A record whose phase is given as a string.
+BAD_PHASE = TrialRecord("t1", Label.POSITIVE, Label.POSITIVE, "seed")
+
+# name: the call that reads the record's phase.
+PHASE_READERS = {
+    "TrialRecord.verified": lambda: BAD_PHASE.verified,
+    "TrialRecord.decision": lambda: BAD_PHASE.decision,
+    "RecordColumns.of": lambda: RecordColumns.of([BAD_PHASE]),
+    "RunReport": lambda: RunReport((BAD_PHASE,), 0, LoopConfig(), 0, 0),
+    "confusion": lambda: confusion([BAD_PHASE]),
+    "cycle_time": lambda: cycle_time([BAD_PHASE]),
+}
+
+
+@pytest.mark.parametrize("reader", PHASE_READERS)
+def test_a_phase_that_is_not_a_phase_raises_value_error_naming_its_trial(reader):
+    with pytest.raises(ValueError, match=r"^trial t1: expected a Phase, got 'seed'$"):
+        PHASE_READERS[reader]()

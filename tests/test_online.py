@@ -29,6 +29,7 @@ from forceknn.classifier import (
     minkowski,
 )
 from forceknn.datagen import GenParams, gen_dataset, gen_trial
+from forceknn.grid import GridSpec, static_grid
 from forceknn.online import (
     LabeledTrial,
     LoopConfig,
@@ -642,6 +643,22 @@ class TestFeatureMatrix:
                 online._feature_matrix(trials, PreprocessConfig())
         preprocess.assert_not_called()
         assert str(error.value) == "trial huge9: trace overflows the float range when preprocessed"
+
+    @pytest.mark.parametrize("entry", ["run_online", "static_grid"])
+    def test_mixed_feature_dimensions_raise_knn_models_error(self, entry):
+        # 1000 samples give 100 features and 500 give 50: numpy's concatenate would reject them.
+        trials = gen_dataset(12, 12, rng_seed=3)
+        trials += gen_dataset(12, 12, GenParams(n_samples=500), rng_seed=4)
+        with pytest.raises(ValueError) as expected:
+            KnnModel([(preprocess(trial.trace), trial.truth) for trial in trials], k=3)
+        assert str(expected.value) == "feature vectors of mixed dimension: [50, 100]"
+        calls = {
+            "run_online": lambda: run_online(trials, LoopConfig(k=3)),
+            "static_grid": lambda: static_grid(trials, GridSpec(k_values=(3,)), seeds=(0,)),
+        }
+        with pytest.raises(ValueError) as error:
+            calls[entry]()
+        assert str(error.value) == str(expected.value)
 
     def test_too_short_trace_is_a_plain_value_error(self):
         trials = gen_dataset(10, 10, rng_seed=8)
