@@ -6,6 +6,13 @@ id, ``pos``/``neg``, then exactly ``n_samples`` force values in newtons.
 UTF-8, ``.`` decimal separator; written with LF line endings, read with LF,
 CRLF or a lone CR. Values are written with shortest round-trip ``repr``, so
 write-then-read reproduces traces bit for bit.
+
+A row whose every value is ``-?digits.digits``, with at most 18 significant
+and 27 fraction digits (most rows ``repr`` writes), is read as integers over
+powers of ten in the long double, exactly: each value gets ``float()``'s bits.
+This path needs an x87 or quad long double; elsewhere, and for any other row
+(e-notation, ``+``, spaces, ``nan`` and malformed text among them), the row
+is read with ``np.array(fields, dtype=float)``, which words the errors.
 """
 
 from __future__ import annotations
@@ -140,6 +147,70 @@ def _numbered_lines(handle: TextIO) -> Iterator[tuple[int, str]]:
         yield line_no, line
 
 
+# The exact path divides an int64 mantissa by 10**f in the long double, which must be
+# an IEEE format with at least a 64-bit significand (x87 extended or binary128): then
+# both operands are exact and the quotient is rounded once. IBM double-double (105)
+# does not round once, and a plain double (52: macOS arm64, Windows) holds neither
+# every mantissa nor every power exactly.
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+_DIGIT, _MINUS, _POINT, _COMMA = 1, 2, 3, 4
+_BYTE_KINDS = bytearray(256)  # a translate table: 0 for any byte off the exact path's grammar
+_BYTE_KINDS[ord("0") : ord("9") + 1] = bytes([_DIGIT]) * 10
+_BYTE_KINDS[ord("-")], _BYTE_KINDS[ord(".")], _BYTE_KINDS[ord(",")] = _MINUS, _POINT, _COMMA
+_MANTISSA_LIMIT = 10**18  # at most 18 significant digits
+# 10**i == 2**i * 5**i, and 5**27 < 2**63: each entry is exact in a 64-bit significand.
+_POWERS_OF_TEN = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+
+
+def _exact_values(tail: str, n_samples: int) -> np.ndarray | None:
+    """Read ``tail``'s ``n_samples`` comma-separated fields with ``float()``'s bits, or return None.
+
+    A row takes this path when every field is ``-?digits.digits`` with at most
+    18 significant and 27 fraction digits; None sends any other row to
+    ``np.array(fields, dtype=float)``, which words its errors. Each field's
+    digits are read as one int64 mantissa ``m`` with ``f`` fraction digits,
+    and ``m / 10**f`` is rounded once to the long double, then to float64.
+    That double rounding can differ from ``float()``'s single one only when
+    the long double lands on the midpoint between two doubles; such fields,
+    and zero mantissas (for the sign of ``-0.0``), are read with ``float()``.
+    """
+    if not tail.isascii():
+        return None
+    row = tail.encode("ascii")
+    text = b"," + row + b","
+    kinds = np.frombuffer(text.translate(_BYTE_KINDS), np.uint8)
+    separators = np.flatnonzero(kinds >= _POINT)
+    commas, points = separators[::2], separators[1::2]
+    # Commas and points alternate, a digit on each side of every point, and a minus
+    # only where a field starts.
+    if not (
+        kinds.all()
+        and separators.size == 2 * n_samples + 1
+        and (kinds[commas] == _COMMA).all()
+        and (kinds[points] == _POINT).all()
+        and (kinds[points - 1] == _DIGIT).all()
+        and (kinds[points + 1] == _DIGIT).all()
+        and np.count_nonzero(kinds == _MINUS) == np.count_nonzero(kinds[commas[:-1] + 1] == _MINUS)
+    ):
+        return None
+    fraction_digits = commas[1:] - points - 1
+    # Parsing saturates a mantissa past int64 at an int64 limit (strtol's rule): it fails the bound too.
+    mantissas = np.fromstring(row.replace(b".", b""), np.int64, sep=",")
+    too_long = (mantissas >= _MANTISSA_LIMIT) | (mantissas <= -_MANTISSA_LIMIT)
+    if too_long.any() or (fraction_digits >= _POWERS_OF_TEN.size).any():
+        return None
+    exact = mantissas.astype(np.longdouble) / _POWERS_OF_TEN[fraction_digits]
+    values = exact.astype(np.float64)
+    # ``exact`` is a midpoint when it lies off ``values`` and the mirror image of ``values``
+    # about ``exact`` is a double (the other neighbour). Both steps are exact.
+    offset = exact - values
+    mirror = exact + offset
+    midpoint = (offset != 0) & (mirror == mirror.astype(np.float64))
+    for i in np.flatnonzero(midpoint | (mantissas == 0)):
+        values[i] = float(text[commas[i] + 1 : commas[i + 1]])
+    return values
+
+
 def read_dataset(path: str | Path) -> list[LabeledTrial]:
     """Parse a dataset file; aborts with a line-numbered error on the first defect.
 
@@ -169,18 +240,21 @@ def read_dataset(path: str | Path) -> list[LabeledTrial]:
         trials: list[LabeledTrial] = []
         seen_ids: set[str] = set()
         for offset, line in lines:
-            fields = line.split(",")
-            if len(fields) != 2 + n_samples:
-                raise _fail(offset, f"expected {2 + n_samples} fields, got {len(fields)}")
-            trial_id = fields[0]
+            head = line.split(",", 2)
+            # A row the exact path reads has the right field count: only others are counted.
+            samples = _exact_values(head[2], n_samples) if len(head) == 3 and _EXACT_LONG_DOUBLE else None
+            if samples is None and line.count(",") != 1 + n_samples:
+                raise _fail(offset, f"expected {2 + n_samples} fields, got {line.count(',') + 1}")
+            trial_id, label_text = head[0], head[1]
             if trial_id in seen_ids:
                 raise _fail(offset, f"duplicate trial id {trial_id!r}")
             seen_ids.add(trial_id)
-            label = _TEXT_TO_LABEL.get(fields[1])
+            label = _TEXT_TO_LABEL.get(label_text)
             if label is None:
-                raise _fail(offset, f"label must be 'pos' or 'neg', got {fields[1]!r}")
+                raise _fail(offset, f"label must be 'pos' or 'neg', got {label_text!r}")
             try:
-                samples = np.array(fields[2:], dtype=float)
+                if samples is None:
+                    samples = np.array(head[2].split(",") if n_samples else [], dtype=float)
                 trace = ForceTrace(samples, sample_rate)
             except ValueError as exc:
                 raise _fail(offset, str(exc)) from None

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forceknn import dataset_io
 from forceknn.classifier import Label
 from forceknn.dataset_io import DatasetFormatError, read_dataset, write_dataset
 from forceknn.datagen import gen_dataset
@@ -229,6 +230,131 @@ def test_generated_dataset_reads_bit_identically_with_any_line_ending(tmp_path, 
     path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
     assert read_outcome(read_dataset, path) == lf
     assert read_outcome(reference_read_dataset, path) == lf
+
+
+_OFF_GRAMMAR = [
+    "1e5", "1.5e-3", "1.5E+3", "+1.5", " 1.5", "1.5 ", "1_0.5", "nan", "inf", "-inf",
+    "١.٥", "1.", ".5", "1..5", "--1.5", "1.5-", "1-.5", "-.5", "12", "", "abc",
+]
+# Each pins a pitfall of reading m / 10**f through the long double.
+_PITFALLS = [
+    "9007199254740993.0",  # exact midpoints: ties go to even
+    "4503599627370496.5",
+    "12.078841991",  # the long-double quotient lands on a midpoint the true value is not on
+    "-0.0", "-0.000", "0.0", "0.000",  # zero mantissas keep their sign
+    "0.000000000000000000000000001",  # 27 fraction digits: the last power in the table
+    "0.0000000000000000000000000001",  # 28 fraction digits
+    "0.00000000000000000000000000000000000005",
+    "99999999999999999999.5",  # mantissas past int64
+    "-99999999999999999999.5",
+    "9223372036854775808.0",
+    "1844674407370955162.1",  # 2**64 + 5
+    "-922337203685477580.8",  # -2**63
+    "999999999999999999.0",  # 19 significant digits
+    "99999999999999999.9",  # 18 significant digits
+    "-0.000999999999999999999",  # 18 significant digits behind leading zeros
+    "00000000000000000000000001.5",
+]
+
+
+def decimal_texts():
+    """Fields of ``-?digits.digits``, long enough to pass int64 and the powers table."""
+    digits = st.text("0123456789", min_size=1, max_size=22)
+    return st.builds(
+        lambda sign, whole, fraction: f"{sign}{whole}.{fraction}",
+        st.sampled_from(["", "-"]), digits, st.text("0123456789", min_size=1, max_size=30),
+    )
+
+
+@st.composite
+def decimal_rows(draw):
+    """A row's fields: decimal text, shortest ``repr`` of floats, and rarely a token off the grammar."""
+    field = st.one_of(
+        decimal_texts(),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(_PITFALLS),
+    )
+    fields = draw(st.lists(field, min_size=1, max_size=8))
+    if draw(st.integers(0, 7)) == 0:
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_OFF_GRAMMAR))
+    return fields
+
+
+def fits_exact_path(field):
+    _, whole, point, fraction = re.fullmatch(r"(-?)(\d*)(\.?)(\d*)", field).groups()
+    digits = (whole + fraction).lstrip("0")
+    return bool(whole and point and fraction) and len(digits) <= 18 and len(fraction) <= 27
+
+
+@pytest.mark.skipif(
+    not dataset_io._EXACT_LONG_DOUBLE, reason="the long double is not an IEEE extended or quad format"
+)
+class TestExactPath:
+    """Rows of ``-?digits.digits`` read as integers over a power of ten give ``float()``'s bits."""
+
+    def test_powers_of_ten_are_exact(self):
+        assert [int(power) for power in dataset_io._POWERS_OF_TEN] == [10**i for i in range(28)]
+
+    @settings(deadline=None, max_examples=300)
+    @given(fields=decimal_rows())
+    @example(fields=_PITFALLS)
+    @example(fields=_OFF_GRAMMAR)
+    @example(fields=["1.0", "-0.0", "2.5"])
+    def test_same_bits_or_same_error_as_float(self, fields):
+        # Row a takes the exact path, so row b follows a row that did.
+        text = f"id,label,{len(fields)},500.0\na,pos,1.5{',2.5' * (len(fields) - 1)}\n"
+        text += f"b,neg,{','.join(fields)}\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_text(text, encoding="utf-8")
+            expected = read_outcome(reference_read_dataset, path)
+            assert read_outcome(read_dataset, path) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(fields=st.lists(st.one_of(decimal_texts(), st.sampled_from(_PITFALLS)), min_size=1))
+    @example(fields=_PITFALLS)
+    def test_rows_on_the_grammar_take_the_exact_path(self, fields):
+        values = dataset_io._exact_values(",".join(fields), len(fields))
+        if all(fits_exact_path(field) for field in fields):
+            assert values is not None
+            assert values.tobytes() == np.array(fields, dtype=float).tobytes()
+        else:
+            assert values is None
+
+    @pytest.mark.parametrize("field", _OFF_GRAMMAR)
+    def test_rows_off_the_grammar_are_refused(self, field):
+        assert dataset_io._exact_values(f"1.5,{field}", 2) is None
+
+    # Each row has as many separators as a row of n_samples fields, in another order.
+    @pytest.mark.parametrize("row, n_samples", [("1.2.3.4", 2), ("1.2,3.4.5.6", 3), ("1,2", 1), ("1.5", 0)])
+    def test_field_count_errors_on_rows_of_decimals(self, tmp_path, row, n_samples):
+        path = tmp_path / "data.csv"
+        path.write_text(f"id,label,{n_samples},500.0\nx,pos,{row}\n", encoding="utf-8")
+        expected = read_outcome(reference_read_dataset, path)
+        assert expected[0] is DatasetFormatError and "fields" in expected[1]
+        assert read_outcome(read_dataset, path) == expected
+
+    def test_generated_rows_take_the_exact_path_when_every_value_fits(self):
+        # Shortest repr of the generator's forces: 16 and 17 significant digits, mostly.
+        trials = gen_dataset(2, 2, rng_seed=0)
+        rows = [",".join(repr(float(v)) for v in trial.trace.samples) for trial in trials]
+        taken = [dataset_io._exact_values(row, 1000) is not None for row in rows]
+        assert taken == [all(fits_exact_path(v) for v in row.split(",")) for row in rows]
+        assert any(taken)
+
+
+def test_read_without_an_exact_long_double_gives_the_same_bits(tmp_path, monkeypatch):
+    # Where the long double is a plain double (macOS arm64, Windows) the exact
+    # path must not run at all: np.array(fields, dtype=float) reads every row.
+    def refuse(tail, n_samples):
+        raise AssertionError("the exact path ran without an IEEE extended long double")
+
+    path = tmp_path / "gen.csv"
+    write_dataset(path, gen_dataset(3, 3, rng_seed=0))
+    expected = read_outcome(reference_read_dataset, path)
+    monkeypatch.setattr(dataset_io, "_EXACT_LONG_DOUBLE", False)
+    monkeypatch.setattr(dataset_io, "_exact_values", refuse)
+    assert read_outcome(read_dataset, path) == expected
 
 
 def test_read_holds_less_memory_than_the_file(tmp_path):
