@@ -257,14 +257,15 @@ def _cmd_online(args: argparse.Namespace) -> Callable[[], None]:
 
     def work() -> None:
         trials = read_dataset(args.dataset)
+        distances: dict = {}  # one distance matrix, shared by every l-value
+        replays = [run_replicated(trials, cfg, opts["runs"], opts["rng_seed"],
+                                  feature_cache=distances) for cfg in configs]
+        distances.clear()  # frees the matrix: the reports below need only the replays
         out_dir = Path(args.out)
         tm = TimeModel()
-        distances: dict = {}  # one distance matrix, shared by every l-value
         summary_rows = []
         window_series = []
-        for cfg, records_name in zip(configs, records_names):
-            reports = run_replicated(trials, cfg, opts["runs"], opts["rng_seed"],
-                                     feature_cache=distances)
+        for cfg, records_name, reports in zip(configs, records_names, replays):
             summary_rows.append(summarize_runs(reports))
             window_series.append((cfg.l_value, aggregate_window_series(reports, tm)))
             records_path = out_dir / records_name

@@ -10,7 +10,7 @@ write-then-read reproduces traces bit for bit.
 A row whose every value is ``-?digits.digits``, with at most 18 significant
 and 27 fraction digits (most rows ``repr`` writes), is read as integers over
 powers of ten in the long double, exactly: each value gets ``float()``'s bits.
-This path needs an x87 or quad long double; elsewhere, and for any other row
+This path needs the x87 extended long double; elsewhere, and for any other row
 (e-notation, ``+``, spaces, ``nan`` and malformed text among them), the row
 is read with ``np.array(fields, dtype=float)``, which words the errors.
 """
@@ -147,12 +147,13 @@ def _numbered_lines(handle: TextIO) -> Iterator[tuple[int, str]]:
         yield line_no, line
 
 
-# The exact path divides an int64 mantissa by 10**f in the long double, which must be
-# an IEEE format with at least a 64-bit significand (x87 extended or binary128): then
-# both operands are exact and the quotient is rounded once. IBM double-double (105)
-# does not round once, and a plain double (52: macOS arm64, Windows) holds neither
-# every mantissa nor every power exactly.
-_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+# The exact path divides an int64 mantissa by 10**f in the x87 extended long double,
+# whose 64-bit significand holds both operands exactly, so the quotient is rounded once.
+# binary128 (112: aarch64 and s390x Linux) would round once too, but it divides
+# in software and is unmeasured, so those hosts read every row the np.array way, with
+# the same bits. IBM double-double (105) does not round once, and a plain double (52:
+# macOS arm64, Windows) holds neither every mantissa nor every power exactly.
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
 _DIGIT, _MINUS, _POINT, _COMMA = 1, 2, 3, 4
 _BYTE_KINDS = bytearray(256)  # a translate table: 0 for any byte off the exact path's grammar
 _BYTE_KINDS[ord("0") : ord("9") + 1] = bytes([_DIGIT]) * 10

@@ -296,8 +296,9 @@ def run_online(
     ``feature_cache`` memoises the distance matrix, 8 * n**2 bytes for n
     trials (4 MB at n = 704), and each trial's row in it under
     ``(cfg.metric, cfg.preprocess)``; share it across runs over the same
-    trials, and across l-values and k. Past 1 GiB (n > 11585) the run
-    raises ValueError before any trial is preprocessed.
+    trials, and across l-values and k; clear it once the last run is done to
+    free the matrix, as the CLI does before it writes. Past 1 GiB
+    (n > 11585) the run raises ValueError before any trial is preprocessed.
 
     Raises ValueError if a trial's truth is not a ``Label``, or if the stream
     is no longer than the seed phase, lacks one of the classes, or is
@@ -386,7 +387,8 @@ def run_replicated(
     ``(base_seed, i)``, so replays are reproducible and runs are independent.
     Every run ranks over the distance matrix kept in ``feature_cache``, so
     the matrix built for the first run serves the later ones (see
-    ``run_online``).
+    ``run_online``). The reports hold no reference to it: clearing
+    ``feature_cache`` frees it, as the CLI does before it writes.
     """
     _check_runs(n_runs, base_seed)
     trials = list(trials)

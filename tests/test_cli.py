@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -299,6 +300,36 @@ class TestOnline:
         ]
         assert any(line.startswith("# dataset = ") for line in echo)
         assert any(line.startswith("# rng_seed = 3") for line in echo)
+
+    def test_prints_one_wrote_line_per_file_in_write_order(self, tmp_path, dataset, capsys):
+        out = tmp_path / "out"
+        assert main(["online", "--dataset", str(dataset), "--out", str(out), *ONLINE_FLAGS,
+                     "--l-value", "100,50,75"]) == EXIT_OK
+        names = ["records-l100.jsonl", "records-l50.jsonl", "records-l75.jsonl", "summary.csv",
+                 "windows.csv"]
+        assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in names)
+
+    def test_frees_the_distance_matrix_before_summarising(self, tmp_path, dataset, monkeypatch):
+        # The matrix of every l-value's replays goes before the reports are built, so it
+        # adds nothing to the peak that summarising, aggregating and writing reach.
+        built, alive_at_summary = [], []
+        distance_matrix, summarize_runs = online._distance_matrix, cli.summarize_runs
+
+        def tracked_matrix(*args):
+            distances, answered = distance_matrix(*args)
+            built.append(weakref.ref(distances))
+            return distances, answered
+
+        def summarize(reports):
+            alive_at_summary.append(any(ref() is not None for ref in built))
+            return summarize_runs(reports)
+
+        monkeypatch.setattr(online, "_distance_matrix", tracked_matrix)
+        monkeypatch.setattr(cli, "summarize_runs", summarize)
+        out = tmp_path / "out"
+        assert main(["online", "--dataset", str(dataset), "--out", str(out)]) == EXIT_OK
+        assert len(built) == 1
+        assert alive_at_summary[0] is False
 
     def test_l50_verification_equals_seed_phase(self, tmp_path, dataset):
         out = tmp_path / "out"

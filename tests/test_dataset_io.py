@@ -287,7 +287,7 @@ def fits_exact_path(field):
 
 
 @pytest.mark.skipif(
-    not dataset_io._EXACT_LONG_DOUBLE, reason="the long double is not an IEEE extended or quad format"
+    not dataset_io._EXACT_LONG_DOUBLE, reason="the long double is not the x87 extended format"
 )
 class TestExactPath:
     """Rows of ``-?digits.digits`` read as integers over a power of ten give ``float()``'s bits."""
