@@ -168,8 +168,8 @@ def _batch_distances(
     """
     if metric.kind == "cosine":
         # Summed like the reference norms, so that distances are symmetric
-        # to the bit: the online replay reads a reference's row as every
-        # query's distance to it.
+        # to the bit: the static grid's fill mirrors a query's row into a
+        # column of every query's distances to it.
         query_norm = _norms(query)
         if query_norm == 0.0:
             return None
@@ -194,7 +194,8 @@ def _batch_distances(
     return diff.sum(axis=1) ** (1.0 / metric.p)
 
 
-# Cosine query rows per fill step: larger blocks were no faster and hold more memory.
+# Query rows per fill step of a cosine matrix and of every rank store: larger blocks were
+# no faster and hold more memory (64-row rank blocks raised online's peak by 1.4 MB).
 _COSINE_BLOCK = 16
 # The error, after the metric, for finite features that overflow: the elementwise metrics
 # check distances, cosine its norms (an overflowing one divides dot products to a finite 1.0).
@@ -236,6 +237,41 @@ def _distance_matrix(
     return distances, answered[:n_rows]
 
 
+def _rank_matrix(features: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's dense distance ranks over every row of ``features``, and the answering rows.
+
+    Row r numbers the sorted distinct values of ``_distance_matrix``'s row r 0, 1, 2, ...,
+    equal distances sharing a rank, so it keeps that row's order and ties in int16 (n < 2**15
+    rows): 2 * n**2 bytes, and no n x n float array. ``_COSINE_BLOCK`` rows at a time are
+    filled against every column, unmirrored, by the same kernels, so from the same bits:
+    one ``np.vecdot`` per block under cosine, one ``_batch_distances`` call per row
+    otherwise. It flags the answering rows and raises as ``_distance_matrix`` does.
+    """
+    n = len(features)
+    ranks, answered = np.empty((n, n), dtype=np.int16), np.ones(n, dtype=bool)
+    starts = np.arange(0, _COSINE_BLOCK * n, n)[:, np.newaxis]  # each block row's flat start
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric.kind == "cosine":
+            norms, answered = _reference_norms(features)
+        for r in range(0, n, _COSINE_BLOCK):
+            rows = slice(r, min(r + _COSINE_BLOCK, n))
+            if metric.kind == "cosine":
+                dots = np.vecdot(features, features[rows, np.newaxis])
+                block = _cosine_distances(dots, norms, norms[rows, np.newaxis])
+            else:
+                block = np.stack([_batch_distances(features, None, q, metric)
+                                  for q in features[rows]])
+            if not np.isfinite(norms[rows] if metric.kind == "cosine" else block).all():
+                raise ValueError(f"{metric} {_OVERFLOW}")
+            # Flat positions of each row's values in ascending order, over the block's rows.
+            order = block.argsort(axis=1) + starts[: len(block)]
+            ordered = block.take(order)
+            dense = np.zeros(block.shape, dtype=np.int16)
+            np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, dtype=np.int16, out=dense[:, 1:])
+            ranks[rows].reshape(-1)[order] = dense
+    return ranks, answered
+
+
 def distance(a: FeatureVector, b: FeatureVector, metric: Metric = COSINE) -> float:
     """Distance between two feature vectors under the given metric.
 
@@ -269,8 +305,9 @@ def _count_nearest(dists: np.ndarray, is_pos: np.ndarray, k: int) -> np.ndarray:
 
     ``dists`` holds one row per query and one column per entry, in insertion
     order, or is one query's 1-d row, which gets one count instead of an
-    array; ``is_pos`` flags the positive entries. The count equals the one
-    over the first k of the stable sort,
+    array; any values ordered as the distances are, such as the replay's
+    int16 ranks, give the same counts. ``is_pos`` flags the positive
+    entries. The count equals the one over the first k of the stable sort,
     ``np.argsort(dists, axis=-1, kind="stable")[..., :k]``, without sorting:
     a partition finds each row's k-th smallest distance v, and when exactly
     k entries lie at or below v they are those k. A row with a tie at v, or

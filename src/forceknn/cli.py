@@ -257,10 +257,12 @@ def _cmd_online(args: argparse.Namespace) -> Callable[[], None]:
 
     def work() -> None:
         trials = read_dataset(args.dataset)
-        distances: dict = {}  # one distance matrix, shared by every l-value
+        ranks: dict = {}  # one rank store, shared by every l-value
         replays = [run_replicated(trials, cfg, opts["runs"], opts["rng_seed"],
-                                  feature_cache=distances) for cfg in configs]
-        distances.clear()  # frees the matrix: the reports below need only the replays
+                                  feature_cache=ranks) for cfg in configs]
+        ranks.clear()  # frees the store: the reports below need only the replays
+        n_trials = len(trials)
+        del trials  # and the traces: the reports reuse their heap
         out_dir = Path(args.out)
         tm = TimeModel()
         summary_rows = []
@@ -273,7 +275,7 @@ def _cmd_online(args: argparse.Namespace) -> Callable[[], None]:
             write_records_jsonl(records_path, reports)
             print(f"wrote {records_path}")
         echo = _echo_pairs(opts, args.dataset, {
-            "n_trials": len(trials),
+            "n_trials": n_trials,
             "iteration_cost": tm.iteration_cost,
             "verification_cost": tm.verification_cost,
         })

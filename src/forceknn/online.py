@@ -22,7 +22,7 @@ import numpy as np
 # KnnModel, classify and preprocess are unused here: bench/child.py calls them
 # through this module, and bench/spans.py patches all three here.
 from .classifier import COSINE, Decision, KnnModel, Label, Metric, classify, min_agreeing_count
-from .classifier import _check_dimensions, _count_nearest, _distance_matrix, _is_positive
+from .classifier import _check_dimensions, _count_nearest, _is_positive, _rank_matrix
 from .classifier import _LABELS, _vote
 from .signal import _OVERFLOW, ForceTrace, PreprocessConfig, _check_count
 from .signal import _features, preprocess
@@ -219,6 +219,8 @@ class RunReport:
 
 
 # The most a distance matrix may take: 1 GiB, 8 * n**2 bytes for n trials, so n <= 11585.
+# The static grid fills float64 matrices; the replay's int16 rank store takes a quarter of
+# that, and n < 2**15 keeps its ranks in range.
 _MATRIX_BYTES = 2**30
 _STACK = 16  # traces per preprocessing pass: larger stacks save little and hold more memory
 
@@ -255,18 +257,18 @@ def _feature_matrix(trials: Sequence[LabeledTrial], cfg: PreprocessConfig) -> np
 
 
 def _rows(trials: list[LabeledTrial], cfg: LoopConfig, cache: dict):
-    """Each trial's row, each row's positive flag, the distance matrix and its answering rows."""
+    """Each trial's row, each row's positive flag, the rank store and its answering rows."""
     key = (cfg.metric, cfg.preprocess)  # an entry that lacks one of the trials is rebuilt
-    row_of, truth, distances, answered = cache.pop(key, ({}, None, None, None))
+    row_of, truth, ranks, answered = cache.pop(key, ({}, None, None, None))
     rows = np.array(list(map(row_of.get, trials, itertools.repeat(-1))))
     if -1 in rows:
-        del distances  # free a stale entry's matrix before the new one is built
+        del ranks  # free a stale entry's store before the new one is built
         row_of = {trial: i for i, trial in enumerate(trials)}  # two datasets may share ids
         truth = np.array([_is_positive(trial.truth, trial.id) for trial in trials])
-        distances, answered = _distance_matrix(_feature_matrix(trials, cfg.preprocess), cfg.metric)
+        ranks, answered = _rank_matrix(_feature_matrix(trials, cfg.preprocess), cfg.metric)
         rows = np.arange(len(trials))
-    cache[key] = row_of, truth, distances, answered
-    return rows, truth, distances, answered
+    cache[key] = row_of, truth, ranks, answered
+    return rows, truth, ranks, answered
 
 
 def run_online(
@@ -284,20 +286,23 @@ def run_online(
     snapshot their rows and positive flags in stream order, frozen between
     refreshes. A block of ``retrain_interval`` queries without a fallback
     leaves the next block the same snapshot, so each step votes a window of
-    blocks at once, by ``_count_nearest`` over rows of the distance matrix and
+    blocks at once, by ``_count_nearest`` over rows of the rank store and
     a table of the vote's verdict per positive count. A step commits up to the
     end of its first block with a fallback, or its whole window if none has
     one; the window doubles after a step without a fallback and falls back to
-    one block after a step with one. Each trial's flat offset into the matrix
+    one block after a step with one. Each trial's flat offset into the store
     and its zero-norm flag are looked up once per run; a step stores its
     counts and fallback flags by slice, and the phases and predictions are
     read off them once, after the last step.
 
-    ``feature_cache`` memoises the distance matrix, 8 * n**2 bytes for n
-    trials (4 MB at n = 704), and each trial's row in it under
-    ``(cfg.metric, cfg.preprocess)``; share it across runs over the same
-    trials, and across l-values and k; clear it once the last run is done to
-    free the matrix, as the CLI does before it writes. Past 1 GiB
+    The replay reads distances only by their order within a query's row, so
+    it ranks over ``_rank_matrix``'s store: each row's dense distance ranks,
+    which keep that order and its ties exactly, in int16. ``feature_cache``
+    memoises the store, 2 * n**2 bytes for n trials (1 MB at n = 704), and
+    each trial's row in it under ``(cfg.metric, cfg.preprocess)``; share it
+    across runs over the same trials, and across l-values and k; clear it once
+    the last run is done to free the store, as the CLI does before it writes.
+    When a float64 distance matrix (8 * n**2 bytes) would pass 1 GiB
     (n > 11585) the run raises ValueError before any trial is preprocessed.
 
     Raises ValueError if a trial's truth is not a ``Label``, or if the stream
@@ -310,7 +315,7 @@ def run_online(
             f"stream of {len(trials)} trials is too short for seed_size {cfg.seed_size}"
         )
     cache = {} if feature_cache is None else feature_cache
-    rows, truth, distances, answered = _rows(trials, cfg, cache)
+    rows, truth, ranks, answered = _rows(trials, cfg, cache)
     positive = truth[rows]
     if positive.all() or not positive.any():
         raise ValueError("trial stream must contain both classes")
@@ -325,7 +330,7 @@ def run_online(
     if not met.any():
         raise ValueError("stream exhausted before the seed phase completed")
     seed_end = start = int(met.argmax()) + 1
-    offsets = rows * len(distances)  # each stream trial's row in the flat matrix
+    offsets = rows * len(ranks)  # each stream trial's row in the flat store
     unanswered = ~answered[rows]
     verified = np.ones(len(trials), dtype=bool)  # seed and fallback trials
     n_pos = np.zeros(len(trials), dtype=np.intp)  # positive neighbours of classified trials
@@ -339,7 +344,7 @@ def run_online(
     while start < len(trials):
         snapshot = np.flatnonzero(verified[:start])
         # One gather by flat index: no (window, n) copy of whole rows on the way.
-        dists = distances.take(offsets[start : start + window, np.newaxis] + rows[snapshot])
+        dists = ranks.take(offsets[start : start + window, np.newaxis] + rows[snapshot])
         counts = _count_nearest(dists, positive[snapshot], cfg.k)
         fallback = undecided[counts] | unanswered[start : start + window]
         if fallback.any():  # the snapshot changes after this fallback's block
@@ -385,10 +390,11 @@ def run_replicated(
 
     Run i shuffles with a seed derived deterministically from
     ``(base_seed, i)``, so replays are reproducible and runs are independent.
-    Every run ranks over the distance matrix kept in ``feature_cache``, so
-    the matrix built for the first run serves the later ones (see
-    ``run_online``). The reports hold no reference to it: clearing
-    ``feature_cache`` frees it, as the CLI does before it writes.
+    Every run ranks over the rank store kept in ``feature_cache``, so the
+    store built for the first run serves the later ones (see
+    ``run_online``). The reports hold no reference to it, nor to ``trials``:
+    clearing ``feature_cache`` frees the store, as the CLI does before it
+    writes.
     """
     _check_runs(n_runs, base_seed)
     trials = list(trials)

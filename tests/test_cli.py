@@ -309,27 +309,38 @@ class TestOnline:
                  "windows.csv"]
         assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in names)
 
-    def test_frees_the_distance_matrix_before_summarising(self, tmp_path, dataset, monkeypatch):
-        # The matrix of every l-value's replays goes before the reports are built, so it
-        # adds nothing to the peak that summarising, aggregating and writing reach.
-        built, alive_at_summary = [], []
-        distance_matrix, summarize_runs = online._distance_matrix, cli.summarize_runs
+    def test_frees_the_rank_store_and_the_trials_before_summarising(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        # The rank store of every l-value's replays and the traces go before the reports
+        # are built, so they add nothing to the peak that summarising, aggregating and
+        # writing reach.
+        built, trials, alive_at_summary = [], [], []
+        rank_matrix, read = online._rank_matrix, cli.read_dataset
+        summarize_runs = cli.summarize_runs
 
-        def tracked_matrix(*args):
-            distances, answered = distance_matrix(*args)
-            built.append(weakref.ref(distances))
-            return distances, answered
+        def tracked_store(*args):
+            ranks, answered = rank_matrix(*args)
+            built.append(weakref.ref(ranks))
+            return ranks, answered
+
+        def tracked_read(*args):
+            read_trials = read(*args)
+            trials.extend(map(weakref.ref, read_trials))
+            return read_trials
 
         def summarize(reports):
-            alive_at_summary.append(any(ref() is not None for ref in built))
+            alive = [any(ref() is not None for ref in refs) for refs in (built, trials)]
+            alive_at_summary.append(alive)
             return summarize_runs(reports)
 
-        monkeypatch.setattr(online, "_distance_matrix", tracked_matrix)
+        monkeypatch.setattr(online, "_rank_matrix", tracked_store)
+        monkeypatch.setattr(cli, "read_dataset", tracked_read)
         monkeypatch.setattr(cli, "summarize_runs", summarize)
         out = tmp_path / "out"
         assert main(["online", "--dataset", str(dataset), "--out", str(out)]) == EXIT_OK
-        assert len(built) == 1
-        assert alive_at_summary[0] is False
+        assert len(built) == 1 and len(trials) == 36
+        assert alive_at_summary[0] == [False, False]
 
     def test_l50_verification_equals_seed_phase(self, tmp_path, dataset):
         out = tmp_path / "out"

@@ -24,6 +24,7 @@ from forceknn.classifier import (
     _batch_distances,
     _count_nearest,
     _distance_matrix,
+    _rank_matrix,
     _reference_norms,
     classify,
     minkowski,
@@ -609,6 +610,51 @@ class TestDistanceStore:
         assert norms.call_count == 1
         assert answered.tolist() == [True, False, True, True, True, True][:n_rows]
 
+    @settings(deadline=None, max_examples=150)
+    @given(metric=METRICS, features=feature_rows())
+    def test_rank_rows_order_and_tie_as_the_distance_rows(self, metric, features):
+        distances, expected_answered = _distance_matrix(features, metric)
+        ranks, answered = _rank_matrix(features, metric)
+        assert ranks.dtype == np.int16 and ranks.shape == distances.shape
+        order = np.argsort(distances, axis=1, kind="stable")
+        assert np.array_equal(np.argsort(ranks, axis=1, kind="stable"), order)
+        ordered = np.take_along_axis(distances, order, axis=1)
+        ranked = np.take_along_axis(ranks, order, axis=1)
+        assert np.array_equal(ranked[:, 1:] == ranked[:, :-1], ordered[:, 1:] == ordered[:, :-1])
+        # dense: each row's ranks run 0, 1, 2, ... over its distinct distances
+        assert np.all(ranked[:, 0] == 0) and np.isin(np.diff(ranked, axis=1), (0, 1)).all()
+        assert np.array_equal(answered, expected_answered)
+
+    @pytest.mark.parametrize(
+        "metric, scale",
+        [(minkowski(0.001), 1.0), (EUCLIDEAN, 1e200), (COSINE, 1e200)],
+        ids=["minkowski:0.001", "euclidean", "cosine norm"],
+    )
+    def test_overflowing_store_raises_the_distance_matrix_error(self, metric, scale):
+        # Row 33 sits in the third block of 16: the earlier blocks read its column first.
+        features = np.random.default_rng(0).normal(size=(40, 5))
+        features[33] *= scale
+        with pytest.raises(ValueError) as expected:
+            _distance_matrix(features, metric)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape
+            with pytest.raises(ValueError) as error:
+                _rank_matrix(features, metric)
+        assert str(error.value) == str(expected.value)
+        assert str(error.value) == f"{metric} distance overflows the float range"
+
+    @pytest.mark.parametrize("metric", [COSINE, EUCLIDEAN], ids=str)
+    def test_building_the_store_holds_no_float_matrix(self, metric):
+        coarse = PreprocessConfig(ds_window=50, ds_stride=50)  # small beside the store
+        trials = gen_dataset(150, 150, rng_seed=1)
+        tracemalloc.start()
+        try:
+            online._rows(trials, LoopConfig(metric=metric, preprocess=coarse), {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(trials) ** 2  # a float64 matrix alone would reach it
+
 
 class TestFeatureMatrix:
     @pytest.mark.parametrize("n", [15, 16, 17])
@@ -681,13 +727,17 @@ class TestCountNearest:
     def test_equals_the_count_over_the_stable_sort(self, data):
         n = data.draw(st.integers(1, 12), label="entries")
         queries = data.draw(st.integers(0, 6), label="queries (0: one 1-d row)")
+        if data.draw(st.booleans(), label="int16 ranks, as the replay's store holds"):
+            dtype, elements = np.int16, st.integers(0, 3)  # a small range: heavy ties
+        else:
+            dtype, elements = np.float64, DISTANCES
         if queries == 0:
-            dists = data.draw(hnp.arrays(np.float64, n, elements=DISTANCES), label="dists")
+            dists = data.draw(hnp.arrays(dtype, n, elements=elements), label="dists")
         elif data.draw(st.booleans(), label="transposed"):
-            drawn = data.draw(hnp.arrays(np.float64, (n, queries), elements=DISTANCES))
+            drawn = data.draw(hnp.arrays(dtype, (n, queries), elements=elements))
             dists = drawn.T  # a strided (queries, entries) view
         else:
-            dists = data.draw(hnp.arrays(np.float64, (queries, n), elements=DISTANCES))
+            dists = data.draw(hnp.arrays(dtype, (queries, n), elements=elements))
         is_pos = data.draw(hnp.arrays(np.bool_, n), label="is_pos")
         k = data.draw(st.integers(1, n), label="k")
         expected = is_pos[np.argsort(dists, axis=-1, kind="stable")[..., :k]].sum(axis=-1)
